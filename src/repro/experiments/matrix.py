@@ -1,4 +1,4 @@
-"""The bit-identical differential matrix (77 pinned trials).
+"""The bit-identical differential matrix (83 pinned trials).
 
 PR 5 verified its kernel rework by diffing a 68-trial matrix of full result
 objects across both experiment families — but that diff lived offline.  This
@@ -65,7 +65,7 @@ def _service(label, **overrides):
 
 
 def matrix_trials():
-    """The fixed trial list: ``[(key, config, seed), ...]`` — 77 entries.
+    """The fixed trial list: ``[(key, config, seed), ...]`` — 83 entries.
 
     Keys are human-readable (``label#s<seed>``) and stable: they name trials
     in the pinned JSON so a digest mismatch points at the exact trial that
@@ -198,6 +198,34 @@ def matrix_trials():
     add(_service("svc:disk-directed:silent-disk0-repair", n_disks=4,
                  redundancy="parity", checksums=True, fault_silent_ranges=1,
                  fault_silent_range_sectors=10 ** 9, fault_silent_disk=0))
+
+    # -- flash, the degraded array and one-block sessions (appended; the
+    # 77 trials above pin every disk-backed cell) ---------------------------
+    # The ssd backend on a single collective.
+    for method in _METHODS:
+        add(_single(f"{method}:rb:ssd", method=method, pattern="rb",
+                    device="ssd"))
+    # Every layer at once under load: flash, parity, checksums, a fail-slow
+    # drive, silent corruption and the adaptive-K controller with shedding.
+    for method in _METHODS:
+        add(_service(f"svc:{method}:ssd-degraded", method=method,
+                     device="ssd", n_cps=4, n_disks=6, n_requests=40,
+                     n_files=8, file_size=64 * 1024,
+                     size_distribution="pareto", max_file_size=256 * 1024,
+                     concurrency=4, arrival_rate=20.0,
+                     redundancy="parity", checksums=True,
+                     fault_slow_factor=4.0, fault_slow_disk=1,
+                     fault_slow_duration=1e9, fault_silent_ranges=1,
+                     fault_silent_range_sectors=10 ** 9, fault_silent_disk=2,
+                     controller_target_p99=1.0, controller_interval=0.5,
+                     controller_shed=True, controller_shed_age=1.0))
+    # One 8 KB block per session on four disks: the per-session fast path,
+    # where most drives hold no block of the file.
+    for method in _METHODS:
+        add(_service(f"svc:{method}:oneblock", method=method, n_iops=1,
+                     n_disks=4, n_requests=40, n_files=16, file_size=8192,
+                     layout="contiguous", pattern_specs=("b",),
+                     arrival_rate=30.0, concurrency=4))
 
     keys = [key for key, _, _ in trials]
     if len(set(keys)) != len(keys):

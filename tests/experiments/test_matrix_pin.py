@@ -1,14 +1,15 @@
-"""The zero-perturbation differential: 77 pinned trial digests.
+"""The zero-perturbation differential: 83 pinned trial digests.
 
 The flash backend merged a new device axis through ``Machine``, the
 experiment configs, the cache keys and the figures CLI; the redundancy PR
 then merged a parity layer the same way.  None of that is allowed to move
 a single bit of any existing ``device="disk"``, ``redundancy="none"``
-result.  The matrix in :mod:`repro.experiments.matrix` runs 77 trials
+result.  The matrix in :mod:`repro.experiments.matrix` runs 83 trials
 spanning both experiment families — every pattern, both methods, both
 layouts, all schedulers, faults, admission disciplines, streaming,
-multiple seeds, and (appended at PR 10) parity/integrity cells — and this
-suite compares their result digests against the committed pins
+multiple seeds, parity/integrity cells, and (appended last) flash, the
+fully degraded array and one-block sessions — and this suite compares
+their result digests against the committed pins
 (``tests/data/disk_matrix_digests.json``).
 """
 
@@ -28,9 +29,10 @@ from repro.experiments.service import ServiceExperimentConfig
 
 
 class TestMatrixShape:
-    def test_exactly_77_trials(self):
-        # Append-only: 68 pre-redundancy cells + 9 parity/integrity cells.
-        assert len(matrix_trials()) == 77
+    def test_exactly_83_trials(self):
+        # Append-only: 68 pre-redundancy cells + 9 parity/integrity cells
+        # + 6 flash/degraded/one-block cells.
+        assert len(matrix_trials()) == 83
 
     def test_keys_are_unique(self):
         keys = [key for key, _config, _seed in matrix_trials()]
@@ -44,10 +46,15 @@ class TestMatrixShape:
         assert any(isinstance(config, ServiceExperimentConfig)
                    for config in configs)
 
-    def test_every_trial_runs_on_disk(self):
-        """The matrix pins *disk* results; no trial may drift to flash."""
-        for _key, config, _seed in matrix_trials():
-            assert config.device == "disk"
+    def test_only_the_flash_cells_leave_the_disk(self):
+        """The first 77 trials pin *disk* results; no trial may drift to
+        flash except the cells appended for it."""
+        for key, config, _seed in matrix_trials():
+            expected = "ssd" if ":ssd" in key else "disk"
+            assert config.device == expected, key
+        devices = [config.device for _key, config, _seed in matrix_trials()]
+        assert devices[:77] == ["disk"] * 77
+        assert devices.count("ssd") == 4
 
     def test_multiple_seeds_are_exercised(self):
         seeds = {seed for _key, _config, seed in matrix_trials()}
@@ -78,7 +85,7 @@ class TestPinnedFile:
     def test_pin_file_is_plain_json(self):
         with open(DIGEST_PATH, encoding="utf-8") as handle:
             raw = json.load(handle)
-        assert len(raw) == 77
+        assert len(raw) == 83
 
     def test_compare_reports_mismatch_and_missing(self):
         pinned = {"a": "1", "b": "2"}
@@ -90,7 +97,7 @@ class TestPinnedFile:
 
 
 class TestBitIdentity:
-    def test_all_77_trials_match_the_pins(self):
+    def test_all_83_trials_match_the_pins(self):
         """THE differential: flash and parity merged, no digest moved."""
         diff = compare(run_matrix(), load_pinned())
         assert diff == [], (
