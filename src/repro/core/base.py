@@ -10,6 +10,7 @@ original single-collective interface, :meth:`~CollectiveFileSystem.transfer`,
 remains and simply runs one session to completion.
 """
 
+from functools import partial
 from itertools import count
 
 from repro.core.result import TransferResult
@@ -61,7 +62,8 @@ class CollectiveSession:
         self.start_time = None
         self.end_time = None
         self.done = Event(fs.env)
-        self.counters = {name: Counter(name) for name in SESSION_COUNTERS}
+        #: name -> int; the result snapshot copies it as is.
+        self.counters = dict.fromkeys(SESSION_COUNTERS, 0)
         self.result = None
 
     @property
@@ -79,7 +81,7 @@ class CollectiveSession:
     @property
     def bytes_moved(self):
         """Bytes actually moved between CPs and IOPs for this collective."""
-        return self.counters["bytes_moved"].value
+        return self.counters["bytes_moved"]
 
     @property
     def bytes_requested(self):
@@ -94,10 +96,8 @@ class CollectiveSession:
         result snapshots only grow keys on runs that actually exercise the
         corresponding machinery.
         """
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        counter.add(amount)
+        counters = self.counters
+        counters[name] = counters.get(name, 0) + amount
         fs_counter = self.fs.counters.get(name)
         if fs_counter is None:
             fs_counter = self.fs.counters[name] = Counter(name)
@@ -182,12 +182,18 @@ class CollectiveFileSystem:
         session = CollectiveSession(self, pattern, target)
         session.start_time = self.env.now
         self.active_sessions[session.session_id] = session
-        done = self._start_transfer(session)
-        self.env.process(self._complete(session, done))
+        self._start_transfer(session).callbacks.append(
+            partial(self._complete, session))
         return session
 
     def _complete(self, session, done):
-        yield done
+        """Callback on the event :meth:`_start_transfer` returned.
+
+        A failed *done* is left undefused, so the engine raises its
+        exception out of ``env.run`` just as a failed waiter process would.
+        """
+        if not done._ok:
+            return
         session.end_time = self.env.now
         session.result = TransferResult(
             method=self.method_name,
@@ -235,8 +241,7 @@ class CollectiveFileSystem:
         # longer bleed into each other's results; reads coalesced by the
         # traditional-caching block cache are attributed to the session
         # whose miss issued the fetch.
-        snapshot = {name: counter.value
-                    for name, counter in session.counters.items()}
+        snapshot = dict(session.counters)
         snapshot.update(self.machine.session_disk_stats(session.session_id))
         snapshot["message_wire_bytes"] = \
             self.machine.network.session_message_wire_bytes(session.session_id)
@@ -270,20 +275,22 @@ class CollectiveFileSystem:
         session.count("bytes_moved", data_bytes)
 
     # -- failure handling -------------------------------------------------------------
-    def _fault_retry(self, session, attempt):
-        """Process fragment: run *attempt* with bounded retry; returns the request.
+    def _fault_retry(self, session, attempt, failed):
+        """Process fragment: bounded retry after *failed*; returns the request.
 
-        Delegates to :func:`repro.disk.faults.retry_fragment` (each retry
-        submits a brand-new request — drives do not keep errored requests),
-        counting each retry against *session*.  The returned request may
-        still carry ``status == "error"`` — the caller decides how to
-        degrade; under ``on_fault="abort"`` a terminal failure raises
+        The caller yields the first ``attempt()`` itself and comes here only
+        when its request *failed*.  Delegates to
+        :func:`repro.disk.faults.retry_fragment` (each retry submits a
+        brand-new request — drives do not keep errored requests), counting
+        each retry against *session*.  The returned request may still carry
+        ``status == "error"`` — the caller decides how to degrade; under
+        ``on_fault="abort"`` a terminal failure raises
         :class:`~repro.disk.faults.FaultAbort` instead.
         """
         on_retry = (lambda: session.count("retries")) \
             if session is not None else None
         request = yield from retry_fragment(
-            self.env, self.fault_policy, attempt, on_retry)
+            self.env, self.fault_policy, attempt, on_retry, first=failed)
         return request
 
     def _verify_read(self, session, disk, request):
@@ -327,7 +334,7 @@ class CollectiveFileSystem:
         self._mark_degraded(session)
 
     def _mark_degraded(self, session):
-        if session.counters["degraded"].value == 0:
+        if session.counters["degraded"] == 0:
             session.count("degraded")
 
 

@@ -84,14 +84,10 @@ class DiskDirectedFS(CollectiveFileSystem):
     def _start_transfer(self, session):
         barrier = Barrier(self.env, self.config.n_cps,
                           name=f"ddio-barrier-{session.session_id}")
-        cp_processes = [
+        return AllOf(self.env, [
             self.env.process(self._cp_worker(cp_index, session, barrier))
             for cp_index in range(self.config.n_cps)
-        ]
-        return self.env.process(self._finish(cp_processes))
-
-    def _finish(self, cp_processes):
-        yield AllOf(self.env, cp_processes)
+        ])
 
     # -- compute-processor side -----------------------------------------------------------
     def _cp_worker(self, cp_index, session, barrier):
@@ -197,11 +193,14 @@ class DiskDirectedFS(CollectiveFileSystem):
                 yield AllOf(self.env, block_jobs)
         else:
             # A buffer pool per collective: two buffer threads per disk
-            # stream blocks between disk and CPs for this session only.
+            # stream blocks between disk and CPs for this session only.  A
+            # thread beyond the disk's block count would find the list
+            # already drained and exit without an event, so none is spawned.
             threads = []
             for disk, entries in disk_work:
                 shared = {"entries": entries, "next": 0}
-                for _buffer in range(self.buffers_per_disk):
+                for _buffer in range(min(self.buffers_per_disk,
+                                         len(entries))):
                     threads.append(self.env.process(self._buffer_thread(
                         iop, disk, shared, session, write_behind)))
             if threads:
@@ -265,14 +264,18 @@ class DiskDirectedFS(CollectiveFileSystem):
         sectors_per_block = self.config.sectors_per_block
         pieces = pattern.pieces_in_block(block, session.file.block_size)
         if pattern.is_read:
-            request = yield from self._fault_retry(
-                session,
-                lambda: disk.read(lbn, sectors_per_block, tag=block,
-                                  session_id=session.session_id))
+            def attempt():
+                return disk.read(lbn, sectors_per_block, tag=block,
+                                 session_id=session.session_id)
+            request = yield attempt()
+            if request.status != "ok":
+                request = yield from self._fault_retry(
+                    session, attempt, request)
             # End-to-end integrity: with checksums on, a corrupt payload is
             # caught here (and parity-repaired when the machine has
             # redundancy); otherwise it falls through as a failed read.
-            request = yield from self._verify_read(session, disk, request)
+            if self.checksums:
+                request = yield from self._verify_read(session, disk, request)
             if request.status != "ok":
                 self._record_read_failure(
                     session, sum(piece.n_bytes for piece in pieces))
@@ -288,7 +291,10 @@ class DiskDirectedFS(CollectiveFileSystem):
                     session_id=session.session_id)
                 media_box.append(on_media)
                 return accepted
-            request = yield from self._fault_retry(session, attempt)
+            request = yield attempt()
+            if request.status != "ok":
+                request = yield from self._fault_retry(
+                    session, attempt, request)
             if request.status != "ok":
                 self._record_write_loss(
                     session, sum(piece.n_bytes for piece in pieces))

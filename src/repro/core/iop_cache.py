@@ -228,11 +228,14 @@ class IOPCache:
         entry.was_prefetch = was_prefetch
         location = striped_file.location(block)
         disk = self.disk_lookup(location.disk_index)
-        request = yield from retry_fragment(
-            self.env, self.fault_policy,
-            lambda: disk.read(location.lbn, self.sectors_per_block,
-                              session_id=session_id),
-            self._count_retry(session_id))
+        def attempt():
+            return disk.read(location.lbn, self.sectors_per_block,
+                             session_id=session_id)
+        request = yield attempt()
+        if request.status != "ok":
+            request = yield from retry_fragment(
+                self.env, self.fault_policy, attempt,
+                self._count_retry(session_id), first=request)
         if self.checksums and request.status == "ok" and request.corrupt:
             # End-to-end integrity: the checksum over the fetched payload
             # does not match.  Count the detection, then reconstruct from
@@ -517,7 +520,7 @@ class IOPCache:
             return
         session.count("failed_blocks")
         session.count("lost_bytes", self.sectors_per_block * 512)
-        if session.counters["degraded"].value == 0:
+        if session.counters["degraded"] == 0:
             session.count("degraded")
 
     # -- allocation / eviction -------------------------------------------------------

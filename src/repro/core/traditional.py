@@ -282,13 +282,9 @@ class TraditionalCachingFS(CollectiveFileSystem):
                     yield from iop.cpu.acquire(cpu_time)
                 else:
                     yield charge
-            self.env.process(self._handle_request(iop, cache, request))
-
-    def _handle_request(self, iop, cache, request):
-        if request.kind == "read":
-            yield from self._handle_read(iop, cache, request)
-        else:
-            yield from self._handle_write(iop, cache, request)
+            handler = self._handle_read if request.kind == "read" \
+                else self._handle_write
+            self.env.process(handler(iop, cache, request))
 
     def _handle_read(self, iop, cache, request):
         costs = self.costs

@@ -277,7 +277,7 @@ class FaultAbort(Exception):
     """Raised (under ``on_fault='abort'``) when a request fails permanently."""
 
 
-def retry_fragment(env, policy, attempt, on_retry=None):
+def retry_fragment(env, policy, attempt, on_retry=None, first=None):
     """Process fragment: run *attempt* under *policy*; returns the request.
 
     *attempt* is a no-argument callable that submits a fresh disk request
@@ -288,9 +288,11 @@ def retry_fragment(env, policy, attempt, on_retry=None):
     permanent errors are never retried.  The returned request may still be
     errored (the caller degrades); ``on_fault="abort"`` raises
     :class:`FaultAbort` instead.  *on_retry* is called once per retry (for
-    session accounting).
+    session accounting).  *first*, when given, is the completed request of
+    a first attempt the caller already waited for itself (the hot paths do,
+    so a successful request never passes through this generator).
     """
-    request = yield attempt()
+    request = (yield attempt()) if first is None else first
     if request.status == "ok" or policy is None:
         return request
     if policy.on_fault == "retry":

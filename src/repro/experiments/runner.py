@@ -80,7 +80,12 @@ from repro.patterns import make_pattern
 #:     matrix pins this), but schema-9 envelopes were keyed without the
 #:     redundancy axis and must not be replayed against keys that include
 #:     it.
-CACHE_SCHEMA_VERSION = 10
+#: v11: per-session bookkeeping cut from the service run path (no DDIO
+#:     buffer thread for a disk without blocks, no wrapper processes for
+#:     collective completion, memoised pattern plans).  No simulated result
+#:     moved — the 83-trial digest matrix pins this — but the model sources
+#:     changed, so entries are re-stamped.
+CACHE_SCHEMA_VERSION = 11
 
 
 # -- experiment families --------------------------------------------------------

@@ -149,6 +149,11 @@ class MatrixPattern(AccessPattern):
         self.col_dist = Distribution(col_dist)
         self.grid_rows = grid_rows
         self.grid_cols = grid_cols
+        # Memoised plan: the pattern is immutable, and the service driver
+        # shares one instance across every session with the same shape.
+        self._cp_bytes = None
+        self._total_bytes = None
+        self._chunks = {}
 
     # -- ownership -------------------------------------------------------------
     def owners_of(self, record_indices):
@@ -162,6 +167,13 @@ class MatrixPattern(AccessPattern):
     def bytes_for_cp(self, cp):
         if cp < 0 or cp >= self.n_cps:
             raise ValueError(f"CP {cp} out of range [0, {self.n_cps})")
+        cp_bytes = self._cp_bytes
+        if cp_bytes is None:
+            cp_bytes = self._cp_bytes = tuple(
+                self._owned_bytes(index) for index in range(self.n_cps))
+        return cp_bytes[cp]
+
+    def _owned_bytes(self, cp):
         grid_row, grid_col = divmod(cp, self.grid_cols)
         if grid_row >= self.grid_rows:
             return 0
@@ -169,10 +181,29 @@ class MatrixPattern(AccessPattern):
         cols_owned = self.col_dist.owned_count(self.cols, self.grid_cols, grid_col)
         return rows_owned * cols_owned * self.record_size
 
+    def total_transfer_bytes(self):
+        total = self._total_bytes
+        if total is None:
+            total = self._total_bytes = super().total_transfer_bytes()
+        return total
+
     # -- chunk enumeration (CP side) ------------------------------------------------
     def chunks_for_cp(self, cp):
+        """Chunks of *cp*: a cached tuple when the pattern fits one batch.
+
+        Larger patterns stream from a generator instead, so a transfer over
+        millions of records never holds its whole chunk list.
+        """
         if cp < 0 or cp >= self.n_cps:
             raise ValueError(f"CP {cp} out of range [0, {self.n_cps})")
+        if self.n_records > _CHUNK_BATCH_RECORDS:
+            return self._stream_chunks(cp)
+        chunks = self._chunks.get(cp)
+        if chunks is None:
+            chunks = self._chunks[cp] = tuple(self._stream_chunks(cp))
+        return chunks
+
+    def _stream_chunks(self, cp):
         if self.bytes_for_cp(cp) == 0:
             return
         pending = None  # (start_record, length_records) run crossing batch boundary

@@ -12,6 +12,8 @@ fully inlined there; the rarely-taken throw paths (failures, interrupts) go
 through :meth:`Process._step`.  The two must stay behaviourally in sync.
 """
 
+from types import GeneratorType
+
 from repro.sim.errors import Interrupt, SimulationError, StopProcess
 from repro.sim.events import _PENDING, Event
 
@@ -28,11 +30,18 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "__weakref__")
 
     def __init__(self, env, generator):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+                not hasattr(generator, "send")
+                or not hasattr(generator, "throw")):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}; "
                 "did you forget to call the generator function?")
-        super().__init__(env)
+        # Event.__init__, flattened: one Process per spawned thread.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
         self._waiting_on = None
         registry = getattr(env, "_processes", None)
@@ -42,10 +51,13 @@ class Process(Event):
             # processes (or their generator frames) alive.
             registry.add(self)
         # Kick the generator off via an initial event so that process start
-        # happens inside the event loop, in creation order.
+        # happens inside the event loop, in creation order (a succeeded
+        # event, scheduled as succeed() would, without its checks).
         start = Event(env)
+        start._ok = True
+        start._value = None
         start.callbacks.append(self._resume)
-        start.succeed()
+        env._schedule_now(start)
 
     # -- public API -----------------------------------------------------------
     @property
@@ -161,7 +173,10 @@ class Process(Event):
     def _wait_for(self, target):
         """Attach to the event the generator just yielded."""
         if not isinstance(target, Event):
-            self._generator.throw(TypeError(
+            # Through _step, so a generator that handles the error goes on
+            # waiting on what it yields next, and an unhandled one fails
+            # the process (and reaches whoever waits on it).
+            self._step(throw=TypeError(
                 f"process {self.name!r} yielded {target!r}, which is not an Event"))
             return
         if target.callbacks is None:

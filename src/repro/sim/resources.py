@@ -158,7 +158,8 @@ class Resource:
         timeout = Timeout(self.env, hold_time)
         users.append(timeout)
         self.utilization.set(len(users))
-        timeout.callbacks.append(lambda _event: self.release(timeout))
+        # The timeout is its own slot token: release(timeout) at expiry.
+        timeout.callbacks.append(self.release)
         return timeout
 
     def __repr__(self):

@@ -469,6 +469,10 @@ class ServiceDriver:
     :mod:`repro.workload.checkpoint` for why that is sound).
     """
 
+    #: Per-run pattern memo, ``(name, file size, record size) -> pattern``;
+    #: :meth:`run` creates it, so a bare :meth:`plan_request` builds afresh.
+    _patterns = None
+
     def __init__(self, machine, implementation, files, workload,
                  retain_requests=True, checkpoint_every=0,
                  checkpoint_path=None, resume_from=None,
@@ -574,9 +578,14 @@ class ServiceDriver:
         else:
             record_size = record_sizes[0]
         pattern_name = ("r" if is_read else "w") + spec
-        pattern = make_pattern(pattern_name, striped_file.size_bytes,
-                               record_size,
-                               self.machine.config.n_cps)
+        key = (pattern_name, striped_file.size_bytes, record_size)
+        patterns = self._patterns
+        pattern = patterns.get(key) if patterns is not None else None
+        if pattern is None:
+            pattern = make_pattern(pattern_name, striped_file.size_bytes,
+                                   record_size, self.machine.config.n_cps)
+            if patterns is not None:
+                patterns[key] = pattern
         return striped_file, pattern
 
     # -- the run -----------------------------------------------------------------
@@ -597,6 +606,9 @@ class ServiceDriver:
         self._in_flight = 0
         self.max_in_flight = 0
         self._reset_fold_state()
+        # Patterns are immutable plans: sessions with the same (pattern,
+        # file size, record size) share one for the run.
+        self._patterns = {}
         self._fingerprint = self.run_fingerprint(seed)
         if self._resume is not None:
             self._restore(self._resume)

@@ -85,6 +85,32 @@ class TestProcessBasics:
         with pytest.raises(TypeError):
             env.run()
 
+    def test_generator_that_handles_non_event_error_keeps_running(self, env):
+        def worker(env):
+            try:
+                yield 42
+            except TypeError:
+                yield env.timeout(1.0)
+            return "recovered"
+
+        proc = env.process(worker(env))
+        assert env.run(proc) == "recovered"
+        assert env.now == 1.0
+
+    def test_non_event_error_fails_the_process_for_its_waiter(self, env):
+        def child(env):
+            yield "not an event"
+
+        def parent(env):
+            try:
+                yield env.process(child(env))
+            except TypeError as error:
+                return str(error)
+
+        proc = env.process(parent(env))
+        env.run()
+        assert "not an Event" in proc.value
+
     def test_name_reflects_generator(self, env):
         def my_worker(env):
             yield env.timeout(1.0)
