@@ -47,6 +47,7 @@ per-session throughout (disk service time, bus share — see
 bleed into each other's metrics.
 """
 
+import gc
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -441,6 +442,11 @@ class ServiceResult:
 #: arrival cursor.
 STREAM_SPAWN_WINDOW = 64
 
+#: Runs of at least this many sessions start with a full garbage collection
+#: (see :meth:`ServiceDriver.run`).  A collection costs milliseconds — a few
+#: dozen sessions' worth of host time — so shorter runs skip it.
+COLLECT_BEFORE_RUN_REQUESTS = 1000
+
 
 class ServiceDriver:
     """Streams a :class:`ServiceWorkload` through one machine.
@@ -597,7 +603,17 @@ class ServiceDriver:
         progress for that long raises a diagnosable
         :class:`~repro.sim.errors.DeadlockError` instead of hanging —
         insurance when sweeping fault scenarios that might wedge a protocol.
+
+        A run of at least :data:`COLLECT_BEFORE_RUN_REQUESTS` sessions
+        starts with a full garbage collection.  A finished trial's machine
+        is cyclic garbage (its server processes and the machine reference
+        each other), so only a full collection frees it, and when CPython
+        runs one depends on the allocation history: a sweep of long runs
+        could otherwise hold the machines of several finished trials at
+        once, and whether a run's peak includes them would be chance.
         """
+        if self.workload.n_requests >= COLLECT_BEFORE_RUN_REQUESTS:
+            gc.collect()
         workload = self.workload
         seed = workload.seed if trial_seed is None else trial_seed
         arrival = workload.make_arrival_process()

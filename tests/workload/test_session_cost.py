@@ -5,7 +5,8 @@ processes and events spawned to move one 8 KB block.  These tests pin that
 cost exactly for both methods on a small, fixed stream (one block per
 session, four disks behind one IOP), so a change that spawns a process or
 schedules an event that does no work shows up here — and they pin the
-pattern memo that lets sessions of the same shape share one plan.
+pattern memo that lets sessions of the same shape share one plan, and the
+full collection that only long runs pay for.
 """
 
 import inspect
@@ -20,6 +21,7 @@ from repro.patterns import PATTERN_NAMES, make_pattern
 from repro.patterns.pattern import _CHUNK_BATCH_RECORDS
 from repro.sim.process import Process
 from repro.workload import ServiceDriver, ServiceWorkload
+from repro.workload import driver as driver_module
 from repro.workload.driver import build_service_machine
 
 BLOCK = 8192
@@ -167,3 +169,20 @@ class TestPatternMemo:
         _file, pattern = driver.plan_request(3, 0)
         assert pattern is driver._patterns[
             (pattern.name, pattern.file_size, pattern.record_size)]
+
+
+class TestCollectBeforeLongRuns:
+    @pytest.mark.parametrize("threshold,collections", [
+        (N_SESSIONS, 1), (N_SESSIONS + 1, 0)])
+    def test_only_runs_of_threshold_sessions_collect(
+            self, monkeypatch, threshold, collections):
+        calls = []
+        monkeypatch.setattr(driver_module, "COLLECT_BEFORE_RUN_REQUESTS",
+                            threshold)
+        monkeypatch.setattr(driver_module.gc, "collect",
+                            lambda: calls.append(1))
+        workload = one_block_stream()
+        machine, implementation, files = build_service_machine(
+            workload, machine_config=MACHINE, seed=3)
+        ServiceDriver(machine, implementation, files, workload).run()
+        assert len(calls) == collections
