@@ -192,7 +192,7 @@ class CollectiveFileSystem:
         A failed *done* is left undefused, so the engine raises its
         exception out of ``env.run`` just as a failed waiter process would.
         """
-        if not done._ok:
+        if not done.ok:
             return
         session.end_time = self.env.now
         session.result = TransferResult(

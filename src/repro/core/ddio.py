@@ -195,16 +195,20 @@ class DiskDirectedFS(CollectiveFileSystem):
             # A buffer pool per collective: two buffer threads per disk
             # stream blocks between disk and CPs for this session only.  A
             # thread beyond the disk's block count would find the list
-            # already drained and exit without an event, so none is spawned.
+            # already drained and exit without an event, so none is made;
+            # a lone thread (a one-block collective) runs inline.
             threads = []
             for disk, entries in disk_work:
                 shared = {"entries": entries, "next": 0}
                 for _buffer in range(min(self.buffers_per_disk,
                                          len(entries))):
-                    threads.append(self.env.process(self._buffer_thread(
-                        iop, disk, shared, session, write_behind)))
-            if threads:
-                yield AllOf(self.env, threads)
+                    threads.append(self._buffer_thread(
+                        iop, disk, shared, session, write_behind))
+            if len(threads) == 1:
+                yield from threads[0]
+            elif threads:
+                yield AllOf(self.env, [self.env.process(thread)
+                                       for thread in threads])
         if write_behind:
             # Drain this collective's write-behind only.  Waiting on a whole-
             # disk flush here would couple concurrent collectives: a session

@@ -111,21 +111,23 @@ class TraditionalCachingFS(CollectiveFileSystem):
             if pattern.bytes_for_cp(cp_index) == 0:
                 continue
             cp_processes.append(self.env.process(self._cp_worker(cp_index, session)))
+        if pattern.is_read:
+            return AllOf(self.env, cp_processes)
         return self.env.process(self._finish(cp_processes, session))
 
     def _finish(self, cp_processes, session):
+        """A write completes once its CPs are done and its data is durable."""
         if cp_processes:
             yield AllOf(self.env, cp_processes)
-        if session.pattern.is_write:
-            # Write-behind: drain THIS session's dirty buffers to the media
-            # (per-session dirty tracking in the IOP caches), so the reported
-            # time includes all of its outstanding writes — as in the paper's
-            # methodology — without coupling the collective to other
-            # sessions' traffic.  A machine-wide cache + disk flush here
-            # would make one collective's completion wait on every
-            # concurrent collective's dirty volume.
-            yield AllOf(self.env, [cache.flush_session(session.session_id)
-                                   for cache in self.caches])
+        # Write-behind: drain THIS session's dirty buffers to the media
+        # (per-session dirty tracking in the IOP caches), so the reported
+        # time includes all of its outstanding writes — as in the paper's
+        # methodology — without coupling the collective to other sessions'
+        # traffic.  A machine-wide cache + disk flush here would make one
+        # collective's completion wait on every concurrent collective's
+        # dirty volume.
+        yield AllOf(self.env, [cache.flush_session(session.session_id)
+                               for cache in self.caches])
 
     # -- compute-processor side -----------------------------------------------------------
     def _cp_worker(self, cp_index, session):

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.core import make_filesystem
+from repro.core.ddio import DiskDirectedFS
 from repro.fs import FileSystem
 from repro.machine import Machine, MachineConfig
 from repro.patterns import PATTERN_NAMES, make_pattern
@@ -68,27 +69,26 @@ def run_stream(method, spawned):
 class TestPerSessionCost:
     def test_disk_directed(self, spawned):
         processes, events = run_stream("disk-directed", spawned)
-        # Per session: the driver's handler, one worker per CP, the IOP's
-        # collective handler and ONE buffer thread (the only disk holding
-        # the block).  The stream generator and the IOP server loop are
-        # spawned once per run.
+        # Per session: the driver's handler, one worker per CP and the IOP's
+        # collective handler, which moves the one block itself (the only
+        # disk holding it gets one buffer thread, run inline).  The stream
+        # generator and the IOP server loop are spawned once per run.
         assert processes == {
             "_open_loop_streaming": 1,
             "_iop_server": 1,
             "_handle_request": N_SESSIONS,
             "_cp_worker": MACHINE.n_cps * N_SESSIONS,
             "_serve_collective": N_SESSIONS,
-            "_buffer_thread": N_SESSIONS,
         }
-        assert sum(processes.values()) == 2 + 5 * N_SESSIONS
-        assert events == 1797
+        assert sum(processes.values()) == 2 + 4 * N_SESSIONS
+        assert events == 1677
 
     def test_traditional_caching(self, spawned):
         processes, events = run_stream("traditional", spawned)
         # Per session: the driver's handler, the one CP that owns the
-        # record, its request exchange, the IOP's read or write handler
-        # (29 + 11 == N_SESSIONS) and the write-behind wrapper.  The
-        # cache's fetches and write-backs are modelled I/O, not bookkeeping.
+        # record, its request exchange and the IOP's read or write handler
+        # (29 + 11 == N_SESSIONS); each write adds its write-behind drain.
+        # The cache's fetches and write-backs are modelled I/O.
         assert processes == {
             "_open_loop_streaming": 1,
             "_handle_request": N_SESSIONS,
@@ -96,20 +96,31 @@ class TestPerSessionCost:
             "_cp_issue_request": N_SESSIONS,
             "_handle_read": 29,
             "_handle_write": 11,
-            "_finish": N_SESSIONS,
+            "_finish": 11,
             "_fetch": 11,
             "_allocate_for_write": 3,
             "_writeback": 11,
             "_flush_session_process": 11,
         }
-        assert events == 1367
+        assert events == 1309
 
 
 class TestBufferThreads:
-    @pytest.mark.parametrize("n_blocks,threads", [(1, 1), (3, 3), (16, 8)])
+    @pytest.mark.parametrize("n_blocks,threads,processes",
+                             [(1, 1, 0), (3, 3, 3), (16, 8, 8)])
     def test_one_thread_per_block_up_to_the_buffer_budget(
-            self, spawned, n_blocks, threads):
-        """Two buffers per disk, but no thread for a disk without blocks."""
+            self, monkeypatch, spawned, n_blocks, threads, processes):
+        """Two buffers per disk, no thread for a disk without blocks, and a
+        lone thread runs inline instead of as a process."""
+        made = []
+        buffer_thread = DiskDirectedFS._buffer_thread
+
+        def counting_buffer_thread(self, *args):
+            made.append(args[1])
+            return buffer_thread(self, *args)
+
+        monkeypatch.setattr(DiskDirectedFS, "_buffer_thread",
+                            counting_buffer_thread)
         machine = Machine(MACHINE, seed=1)
         striped = FileSystem(MACHINE, layout_seed=1).create_file(
             "f", n_blocks * BLOCK, layout="contiguous")
@@ -117,7 +128,9 @@ class TestBufferThreads:
         spawned.clear()
         implementation.transfer(
             make_pattern("rb", n_blocks * BLOCK, BLOCK, MACHINE.n_cps))
-        assert spawned["_buffer_thread"] == threads
+        assert len(made) == threads
+        assert len(set(map(id, made))) == min(n_blocks, MACHINE.n_disks)
+        assert spawned["_buffer_thread"] == processes
 
 
 def pattern_plan(pattern, block_size=BLOCK):
