@@ -23,7 +23,8 @@ tree (no imports, so it runs in a bare CI image):
   segment (``repro.experiments.runner.CACHE_SCHEMA_VERSION``);
 * *CLI flags and figure names* — every ``--flag`` mentioned in the docs must
   appear verbatim in some Python source under ``src/``, ``tools/``,
-  ``benchmarks/`` or ``examples/`` (or be a known external-tool flag), and
+  ``benchmarks/``, ``perfbench/`` or ``examples/`` (or be a known
+  external-tool flag), and
   every ``ddio-figures NAME`` command must name a key of the ``FIGURES``
   registry (parsed textually from ``src/repro/experiments/figures.py``).
 
@@ -90,7 +91,7 @@ _EXTERNAL_FLAGS = frozenset({
 })
 
 #: Where project CLI flags are defined.
-_FLAG_SOURCE_DIRS = ("src", "tools", "benchmarks", "examples")
+_FLAG_SOURCE_DIRS = ("src", "tools", "benchmarks", "perfbench", "examples")
 
 #: The figure registry, parsed textually (CI's docs job has no numpy).
 _FIGURES_SOURCE = "src/repro/experiments/figures.py"
