@@ -116,18 +116,18 @@ class TraditionalCachingFS(CollectiveFileSystem):
         return self.env.process(self._finish(cp_processes, session))
 
     def _finish(self, cp_processes, session):
-        """A write completes once its CPs are done and its data is durable."""
         if cp_processes:
             yield AllOf(self.env, cp_processes)
-        # Write-behind: drain THIS session's dirty buffers to the media
-        # (per-session dirty tracking in the IOP caches), so the reported
-        # time includes all of its outstanding writes — as in the paper's
-        # methodology — without coupling the collective to other sessions'
-        # traffic.  A machine-wide cache + disk flush here would make one
-        # collective's completion wait on every concurrent collective's
-        # dirty volume.
-        yield AllOf(self.env, [cache.flush_session(session.session_id)
-                               for cache in self.caches])
+        if session.pattern.is_write:
+            # Write-behind: drain THIS session's dirty buffers to the media
+            # (per-session dirty tracking in the IOP caches), so the reported
+            # time includes all of its outstanding writes — as in the paper's
+            # methodology — without coupling the collective to other
+            # sessions' traffic.  A machine-wide cache + disk flush here
+            # would make one collective's completion wait on every
+            # concurrent collective's dirty volume.
+            yield AllOf(self.env, [cache.flush_session(session.session_id)
+                                   for cache in self.caches])
 
     # -- compute-processor side -----------------------------------------------------------
     def _cp_worker(self, cp_index, session):

@@ -1,4 +1,4 @@
-"""The bit-identical differential matrix (83 pinned trials).
+"""The bit-identical differential matrix (86 pinned trials).
 
 PR 5 verified its kernel rework by diffing a 68-trial matrix of full result
 objects across both experiment families — but that diff lived offline.  This
@@ -65,7 +65,7 @@ def _service(label, **overrides):
 
 
 def matrix_trials():
-    """The fixed trial list: ``[(key, config, seed), ...]`` — 83 entries.
+    """The fixed trial list: ``[(key, config, seed), ...]`` — 86 entries.
 
     Keys are human-readable (``label#s<seed>``) and stable: they name trials
     in the pinned JSON so a digest mismatch points at the exact trial that
@@ -226,6 +226,14 @@ def matrix_trials():
                      n_disks=4, n_requests=40, n_files=16, file_size=8192,
                      layout="contiguous", pattern_specs=("b",),
                      arrival_rate=30.0, concurrency=4))
+
+    # Two-phase I/O shares traditional caching's completion path: a read
+    # and a write collective, and a concurrent mixed stream.
+    for pattern in ("rb", "wb"):
+        add(_single(f"two-phase:{pattern}", method="two-phase",
+                    pattern=pattern))
+    add(_service("svc:two-phase:mixed", method="two-phase", n_requests=12,
+                 read_fraction=0.5))
 
     keys = [key for key, _, _ in trials]
     if len(set(keys)) != len(keys):

@@ -83,7 +83,7 @@ from repro.patterns import make_pattern
 #: v11: per-session bookkeeping cut from the service run path (no DDIO
 #:     buffer thread for a disk without blocks, no wrapper processes for
 #:     collective completion, memoised pattern plans).  No simulated result
-#:     moved — the 83-trial digest matrix pins this — but the model sources
+#:     moved — the 86-trial digest matrix pins this — but the model sources
 #:     changed, so entries are re-stamped.
 CACHE_SCHEMA_VERSION = 11
 

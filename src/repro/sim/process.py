@@ -12,8 +12,6 @@ fully inlined there; the rarely-taken throw paths (failures, interrupts) go
 through :meth:`Process._step`.  The two must stay behaviourally in sync.
 """
 
-from types import GeneratorType
-
 from repro.sim.errors import Interrupt, SimulationError, StopProcess
 from repro.sim.events import _PENDING, Event
 
@@ -30,18 +28,11 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "__weakref__")
 
     def __init__(self, env, generator):
-        if type(generator) is not GeneratorType and (
-                not hasattr(generator, "send")
-                or not hasattr(generator, "throw")):
+        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}; "
                 "did you forget to call the generator function?")
-        # Event.__init__, flattened: one Process per spawned thread.
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._defused = False
+        super().__init__(env)
         self._generator = generator
         self._waiting_on = None
         registry = getattr(env, "_processes", None)
@@ -51,13 +42,10 @@ class Process(Event):
             # processes (or their generator frames) alive.
             registry.add(self)
         # Kick the generator off via an initial event so that process start
-        # happens inside the event loop, in creation order (a succeeded
-        # event, scheduled as succeed() would, without its checks).
+        # happens inside the event loop, in creation order.
         start = Event(env)
-        start._ok = True
-        start._value = None
         start.callbacks.append(self._resume)
-        env._schedule_now(start)
+        start.succeed()
 
     # -- public API -----------------------------------------------------------
     @property
@@ -142,42 +130,51 @@ class Process(Event):
 
     def _step(self, value=None, throw=None):
         env = self.env
-        previous, env._active_process = env._active_process, self
-        try:
-            if throw is not None:
-                target = self._generator.throw(throw)
-            else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            env._active_process = previous
-            self.succeed(stop.value)
-            return
-        except StopProcess as stop:
-            env._active_process = previous
-            self.succeed(stop.value)
-            return
-        except Interrupt as interrupt:
-            # The generator chose not to handle an interrupt: treat as failure.
-            env._active_process = previous
-            self.fail(interrupt)
-            return
-        except Exception as exc:  # model error inside the process
-            env._active_process = previous
-            self.fail(exc)
-            return
-        finally:
-            env._active_process = previous
+        while True:
+            previous, env._active_process = env._active_process, self
+            try:
+                if throw is not None:
+                    target = self._generator.throw(throw)
+                else:
+                    target = self._generator.send(value)
+            except StopIteration as stop:
+                env._active_process = previous
+                self.succeed(stop.value)
+                return
+            except StopProcess as stop:
+                env._active_process = previous
+                self.succeed(stop.value)
+                return
+            except Interrupt as interrupt:
+                # The generator chose not to handle an interrupt: treat as
+                # failure.
+                env._active_process = previous
+                self.fail(interrupt)
+                return
+            except Exception as exc:  # model error inside the process
+                env._active_process = previous
+                self.fail(exc)
+                return
+            finally:
+                env._active_process = previous
+            if isinstance(target, Event):
+                break
+            # A yielded non-Event is an error thrown back into the
+            # generator: one that handles it goes on with what it yields
+            # next, an unhandled one fails the process (and reaches
+            # whoever waits on it).
+            throw = self._not_an_event(target)
 
         self._wait_for(target)
+
+    def _not_an_event(self, target):
+        return TypeError(
+            f"process {self.name!r} yielded {target!r}, which is not an Event")
 
     def _wait_for(self, target):
         """Attach to the event the generator just yielded."""
         if not isinstance(target, Event):
-            # Through _step, so a generator that handles the error goes on
-            # waiting on what it yields next, and an unhandled one fails
-            # the process (and reaches whoever waits on it).
-            self._step(throw=TypeError(
-                f"process {self.name!r} yielded {target!r}, which is not an Event"))
+            self._step(throw=self._not_an_event(target))
             return
         if target.callbacks is None:
             # Already finished: resume on the next scheduling round to keep

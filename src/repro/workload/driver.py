@@ -50,6 +50,8 @@ bleed into each other's metrics.
 import gc
 import math
 import os
+import time
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -442,10 +444,37 @@ class ServiceResult:
 #: arrival cursor.
 STREAM_SPAWN_WINDOW = 64
 
-#: Runs of at least this many sessions start with a full garbage collection
-#: (see :meth:`ServiceDriver.run`).  A collection costs milliseconds — a few
-#: dozen sessions' worth of host time — so shorter runs skip it.
-COLLECT_BEFORE_RUN_REQUESTS = 1000
+#: A run that took at least this many host seconds has its machine freed
+#: (if it is still in memory) before the next service machine is built.  A
+#: full collection takes longer the more the process holds: 7-16 ms with
+#: one service machine built (2-vCPU x86 host), more inside a test suite.
+#: After a run of a second or more that is noise; after the many short runs
+#: of a test suite or a small sweep it would dominate their host time, and
+#: their machines are small.
+FREE_MACHINE_AFTER_RUN_S = 1.0
+
+#: ``(machine, host seconds)`` of the latest :meth:`ServiceDriver.run`, the
+#: machine weakly held; see :func:`_free_finished_machine`.
+_last_run = None
+
+
+def _free_finished_machine():
+    """Collect garbage if the latest long run's machine is still in memory.
+
+    A finished trial's machine is cyclic garbage (its server processes and
+    the machine reference each other), so only a full collection frees it,
+    and when CPython runs one depends on the allocation history.  Without
+    this, a trial built after a long one may or may not share the process
+    with the last trial's machine, and whether its peak memory includes
+    that machine would be chance.
+    """
+    global _last_run
+    if _last_run is None:
+        return
+    machine, host_s = _last_run
+    _last_run = None
+    if host_s >= FREE_MACHINE_AFTER_RUN_S and machine() is not None:
+        gc.collect()
 
 
 class ServiceDriver:
@@ -603,17 +632,9 @@ class ServiceDriver:
         progress for that long raises a diagnosable
         :class:`~repro.sim.errors.DeadlockError` instead of hanging —
         insurance when sweeping fault scenarios that might wedge a protocol.
-
-        A run of at least :data:`COLLECT_BEFORE_RUN_REQUESTS` sessions
-        starts with a full garbage collection.  A finished trial's machine
-        is cyclic garbage (its server processes and the machine reference
-        each other), so only a full collection frees it, and when CPython
-        runs one depends on the allocation history: a sweep of long runs
-        could otherwise hold the machines of several finished trials at
-        once, and whether a run's peak includes them would be chance.
         """
-        if self.workload.n_requests >= COLLECT_BEFORE_RUN_REQUESTS:
-            gc.collect()
+        global _last_run
+        host_start = time.perf_counter()
         workload = self.workload
         seed = workload.seed if trial_seed is None else trial_seed
         arrival = workload.make_arrival_process()
@@ -676,6 +697,8 @@ class ServiceDriver:
         # service time and must not deflate throughput.
         first_arrival = totals["first_arrival"]
         end_time = totals["last_completion"]
+        _last_run = (weakref.ref(self.machine),
+                     time.perf_counter() - host_start)
         return ServiceResult(
             method=self.implementation.method_name,
             arrival=arrival.describe(),
@@ -1068,7 +1091,11 @@ def build_service_machine(workload, machine_config=None, seed=None,
     rebuild under ``rebuild_bandwidth``) and registers every file's extent
     map with it so rebuild knows which rows hold live data; the default
     ``"none"`` builds a byte-identical machine to the pre-redundancy tree.
+
+    The machine of a finished long run, if still in memory, is freed first
+    (:func:`_free_finished_machine`).
     """
+    _free_finished_machine()
     config = machine_config if machine_config is not None else MachineConfig()
     trial_seed = workload.seed if seed is None else seed
     machine = Machine(config, seed=trial_seed, disk_scheduler=disk_scheduler,

@@ -1,15 +1,15 @@
-"""The zero-perturbation differential: 83 pinned trial digests.
+"""The zero-perturbation differential: 86 pinned trial digests.
 
 The flash backend merged a new device axis through ``Machine``, the
 experiment configs, the cache keys and the figures CLI; the redundancy PR
 then merged a parity layer the same way.  None of that is allowed to move
 a single bit of any existing ``device="disk"``, ``redundancy="none"``
-result.  The matrix in :mod:`repro.experiments.matrix` runs 83 trials
+result.  The matrix in :mod:`repro.experiments.matrix` runs 86 trials
 spanning both experiment families — every pattern, both methods, both
 layouts, all schedulers, faults, admission disciplines, streaming,
 multiple seeds, parity/integrity cells, and (appended last) flash, the
-fully degraded array and one-block sessions — and this suite compares
-their result digests against the committed pins
+fully degraded array, one-block sessions and two-phase I/O — and this
+suite compares their result digests against the committed pins
 (``tests/data/disk_matrix_digests.json``).
 """
 
@@ -29,10 +29,10 @@ from repro.experiments.service import ServiceExperimentConfig
 
 
 class TestMatrixShape:
-    def test_exactly_83_trials(self):
+    def test_exactly_86_trials(self):
         # Append-only: 68 pre-redundancy cells + 9 parity/integrity cells
-        # + 6 flash/degraded/one-block cells.
-        assert len(matrix_trials()) == 83
+        # + 6 flash/degraded/one-block cells + 3 two-phase cells.
+        assert len(matrix_trials()) == 86
 
     def test_keys_are_unique(self):
         keys = [key for key, _config, _seed in matrix_trials()]
@@ -85,7 +85,7 @@ class TestPinnedFile:
     def test_pin_file_is_plain_json(self):
         with open(DIGEST_PATH, encoding="utf-8") as handle:
             raw = json.load(handle)
-        assert len(raw) == 83
+        assert len(raw) == 86
 
     def test_compare_reports_mismatch_and_missing(self):
         pinned = {"a": "1", "b": "2"}
@@ -97,7 +97,7 @@ class TestPinnedFile:
 
 
 class TestBitIdentity:
-    def test_all_83_trials_match_the_pins(self):
+    def test_all_86_trials_match_the_pins(self):
         """THE differential: flash and parity merged, no digest moved."""
         diff = compare(run_matrix(), load_pinned())
         assert diff == [], (

@@ -97,6 +97,19 @@ class TestProcessBasics:
         assert env.run(proc) == "recovered"
         assert env.now == 1.0
 
+    def test_generator_that_keeps_yielding_non_events_is_not_recursed(self, env):
+        def worker(env):
+            for _ in range(5000):
+                try:
+                    yield "still not an event"
+                except TypeError:
+                    pass
+            yield env.timeout(1.0)
+            return "done"
+
+        proc = env.process(worker(env))
+        assert env.run(proc) == "done"
+
     def test_non_event_error_fails_the_process_for_its_waiter(self, env):
         def child(env):
             yield "not an event"

@@ -6,7 +6,7 @@ cost exactly for both methods on a small, fixed stream (one block per
 session, four disks behind one IOP), so a change that spawns a process or
 schedules an event that does no work shows up here — and they pin the
 pattern memo that lets sessions of the same shape share one plan, and the
-full collection that only long runs pay for.
+collection that frees an earlier run's machine.
 """
 
 import inspect
@@ -184,18 +184,43 @@ class TestPatternMemo:
             (pattern.name, pattern.file_size, pattern.record_size)]
 
 
-class TestCollectBeforeLongRuns:
-    @pytest.mark.parametrize("threshold,collections", [
-        (N_SESSIONS, 1), (N_SESSIONS + 1, 0)])
-    def test_only_runs_of_threshold_sessions_collect(
-            self, monkeypatch, threshold, collections):
+def run_one_block_stream():
+    workload = one_block_stream()
+    machine, implementation, files = build_service_machine(
+        workload, machine_config=MACHINE, seed=3)
+    ServiceDriver(machine, implementation, files, workload).run()
+    return machine
+
+
+class TestFreeFinishedMachine:
+    @pytest.fixture
+    def collections(self, monkeypatch):
+        collect = driver_module.gc.collect
         calls = []
-        monkeypatch.setattr(driver_module, "COLLECT_BEFORE_RUN_REQUESTS",
-                            threshold)
+        monkeypatch.setattr(driver_module, "_last_run", None)
         monkeypatch.setattr(driver_module.gc, "collect",
-                            lambda: calls.append(1))
-        workload = one_block_stream()
-        machine, implementation, files = build_service_machine(
-            workload, machine_config=MACHINE, seed=3)
-        ServiceDriver(machine, implementation, files, workload).run()
-        assert len(calls) == collections
+                            lambda: calls.append(collect()))
+        return calls
+
+    def test_building_after_a_long_run_frees_its_machine(
+            self, monkeypatch, collections):
+        monkeypatch.setattr(driver_module, "FREE_MACHINE_AFTER_RUN_S", 0.0)
+        machine = run_one_block_stream()
+        assert collections == []        # no run before it
+        build_service_machine(one_block_stream(), machine_config=MACHINE)
+        assert len(collections) == 1    # *machine* was still in memory
+        build_service_machine(one_block_stream(), machine_config=MACHINE)
+        assert len(collections) == 1    # one collection per finished run
+        assert machine is not None
+
+    def test_short_runs_and_freed_machines_cost_nothing(
+            self, monkeypatch, collections):
+        run_one_block_stream()          # far below one host second
+        build_service_machine(one_block_stream(), machine_config=MACHINE)
+        assert collections == []
+        monkeypatch.setattr(driver_module, "FREE_MACHINE_AFTER_RUN_S", 0.0)
+        run_one_block_stream()
+        driver_module.gc.collect()      # the caller freed the machine
+        assert driver_module._last_run[0]() is None
+        build_service_machine(one_block_stream(), machine_config=MACHINE)
+        assert len(collections) == 1    # only the caller's own collection
