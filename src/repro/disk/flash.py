@@ -506,9 +506,9 @@ class SSD:
         """
         request = DiskRequest(op=WRITE, lbn=lbn, n_sectors=n_sectors, tag=tag,
                               session_id=session_id)
-        request.media_completion = Event(self.env)
+        on_media = request.media_completion = Event(self.env)
         accepted = self.submit(request)
-        return accepted, request.media_completion
+        return accepted, on_media
 
     def submit(self, request):
         """Queue *request*; returns its completion event."""
@@ -708,7 +708,7 @@ class SSD:
             request.corrupt = True
             self.stats.faults["silent_corruption"] = \
                 self.stats.faults.get("silent_corruption", 0) + 1
-        request.completion.succeed(request)
+        self._complete(request)
         self._signal_media(request)
 
     # -- write path ---------------------------------------------------------------
@@ -753,11 +753,11 @@ class SSD:
             self._writes_outstanding += 1
             self._kick_destage()
             self._account_write(request)
-            request.completion.succeed(request)
+            self._complete(request)
         else:
             yield from self._program_pages(request)
             self._account_write(request)
-            request.completion.succeed(request)
+            self._complete(request)
             self._signal_media(request)
             self._maybe_release_flush_waiters()
 
@@ -834,13 +834,20 @@ class SSD:
         request.status = "error"
         request.error = error
         self.stats.faults[error] = self.stats.faults.get(error, 0) + 1
-        request.completion.succeed(request)
+        self._complete(request)
         self._signal_media(request)
 
+    def _complete(self, request):
+        # The event is detached before it fires: it carries the request as
+        # its value, so a request still holding it would be a reference
+        # cycle, freed only by a full collection.
+        completion, request.completion = request.completion, None
+        completion.succeed(request)
+
     def _signal_media(self, request):
-        if request.media_completion is not None \
-                and not request.media_completion.triggered:
-            request.media_completion.succeed(request)
+        media, request.media_completion = request.media_completion, None
+        if media is not None and not media.triggered:
+            media.succeed(request)
 
     def _maybe_release_flush_waiters(self):
         if self._writes_outstanding == 0 and not self._has_pending_writes():

@@ -85,7 +85,11 @@ from repro.patterns import make_pattern
 #:     collective completion, memoised pattern plans).  No simulated result
 #:     moved — the 86-trial digest matrix pins this — but the model sources
 #:     changed, so entries are re-stamped.
-CACHE_SCHEMA_VERSION = 11
+#: v12: a drive or SSD detaches a request's completion events before firing
+#:     them, so a served request is no longer a reference cycle.  No
+#:     simulated result moved (the digest matrix pins this); entries are
+#:     re-stamped because the model sources changed.
+CACHE_SCHEMA_VERSION = 12
 
 
 # -- experiment families --------------------------------------------------------
