@@ -11,6 +11,8 @@
   (e.g. "disk-directed I/O was up to 16 times faster") against measured data.
 * :mod:`repro.experiments.service` — beyond the paper: the service-style
   experiment family (concurrent mixed collectives vs offered load).
+* :mod:`repro.experiments.pipeline` — the one sweep → check → rows → text →
+  JSON-artifact pipeline the service figures are declared on.
 """
 
 from repro.experiments.config import ExperimentConfig, TrialSummary

@@ -50,90 +50,61 @@ def _default_file_size(record_size, file_mb=None, paper_scale=False):
     return MEGABYTE if record_size <= 1024 else 4 * MEGABYTE
 
 
-def _pattern_sweep(methods, patterns, record_size, layout, file_size, seed=0):
-    configs = []
-    for pattern in patterns:
-        for method in methods:
-            configs.append(ExperimentConfig(
-                method=method,
-                pattern=pattern,
-                record_size=record_size,
-                layout=layout,
-                file_size=file_size,
-                seed=seed,
-                label=method,
-            ))
-    return configs
-
-
-def _render_pattern_figure(title, summaries):
-    entries = [(f"{s.config.pattern:4s} {s.config.method}", s.mean_throughput_mb)
-               for s in summaries]
-    rows = [s.as_row() for s in summaries]
-    text = (f"{title}\n\n"
-            + format_table(rows, columns=["pattern", "method", "record_size",
-                                          "throughput_mb", "cv", "trials"])
+def _pattern_figure(number, methods, layout, layout_name, record_sizes,
+                    file_mb, trials, paper_scale, patterns, progress, workers,
+                    cache):
+    """Shared machinery of Figures 3-4: every pattern at each record size."""
+    selected = patterns or (READ_PATTERN_NAMES + WRITE_PATTERN_NAMES)
+    all_summaries = []
+    texts = []
+    for record_size in record_sizes:
+        file_size = _default_file_size(record_size, file_mb, paper_scale)
+        configs = [ExperimentConfig(method=method, pattern=pattern,
+                                    record_size=record_size, layout=layout,
+                                    file_size=file_size, label=method)
+                   for pattern in selected for method in methods]
+        summaries = sweep_parallel(configs, trials=trials, progress=progress,
+                                   workers=workers, cache=cache)
+        all_summaries.extend(summaries)
+        entries = [(f"{s.config.pattern:4s} {s.config.method}",
+                    s.mean_throughput_mb) for s in summaries]
+        texts.append(
+            f"Figure {number} ({record_size}-byte records, {layout_name} "
+            f"layout, {file_size // MEGABYTE} MB file)\n\n"
+            + format_table([s.as_row() for s in summaries],
+                           columns=["pattern", "method", "record_size",
+                                    "throughput_mb", "cv", "trials"])
             + "\n\n" + format_bar_chart(entries))
-    return text
+    return all_summaries, "\n\n".join(texts)
 
 
 def figure3(record_sizes=(8, 8192), file_mb=None, trials=1, paper_scale=False,
             patterns=None, progress=None, workers=None, cache=None):
     """Figure 3: all patterns, random-blocks layout, TC vs DDIO vs DDIO+presort."""
-    all_summaries = []
-    texts = []
-    for record_size in record_sizes:
-        file_size = _default_file_size(record_size, file_mb, paper_scale)
-        selected = patterns or (READ_PATTERN_NAMES + WRITE_PATTERN_NAMES)
-        configs = _pattern_sweep(_FIG3_METHODS, selected, record_size,
-                                 "random", file_size)
-        summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                                   workers=workers, cache=cache)
-        all_summaries.extend(summaries)
-        texts.append(_render_pattern_figure(
-            f"Figure 3 ({record_size}-byte records, random-blocks layout, "
-            f"{file_size // MEGABYTE} MB file)", summaries))
-    return all_summaries, "\n\n".join(texts)
+    return _pattern_figure(3, _FIG3_METHODS, "random", "random-blocks",
+                           record_sizes, file_mb, trials, paper_scale,
+                           patterns, progress, workers, cache)
 
 
 def figure4(record_sizes=(8, 8192), file_mb=None, trials=1, paper_scale=False,
             patterns=None, progress=None, workers=None, cache=None):
     """Figure 4: all patterns, contiguous layout, TC vs DDIO."""
-    all_summaries = []
-    texts = []
-    for record_size in record_sizes:
-        file_size = _default_file_size(record_size, file_mb, paper_scale)
-        selected = patterns or (READ_PATTERN_NAMES + WRITE_PATTERN_NAMES)
-        configs = _pattern_sweep(_FIG4_METHODS, selected, record_size,
-                                 "contiguous", file_size)
-        summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                                   workers=workers, cache=cache)
-        all_summaries.extend(summaries)
-        texts.append(_render_pattern_figure(
-            f"Figure 4 ({record_size}-byte records, contiguous layout, "
-            f"{file_size // MEGABYTE} MB file)", summaries))
-    return all_summaries, "\n\n".join(texts)
+    return _pattern_figure(4, _FIG4_METHODS, "contiguous", "contiguous",
+                           record_sizes, file_mb, trials, paper_scale,
+                           patterns, progress, workers, cache)
 
 
-def _sensitivity(vary, values, fixed, record_size, file_mb, trials,
-                 paper_scale, patterns, progress=None, workers=None,
+def _sensitivity(title, x_label, vary, values, fixed, record_size, file_mb,
+                 trials, paper_scale, patterns, progress=None, workers=None,
                  cache=None):
     """Shared machinery of Figures 5-8: vary one machine dimension."""
     file_size = _default_file_size(record_size, file_mb, paper_scale)
-    configs = []
-    for value in values:
-        for pattern in patterns:
-            for method in ("disk-directed", "traditional"):
-                overrides = dict(fixed)
-                overrides[vary] = value
-                configs.append(ExperimentConfig(
-                    method=method,
-                    pattern=pattern,
-                    record_size=record_size,
-                    file_size=file_size,
-                    label=f"{method}-{pattern}",
-                    **overrides,
-                ))
+    configs = [ExperimentConfig(method=method, pattern=pattern,
+                                record_size=record_size, file_size=file_size,
+                                label=f"{method}-{pattern}",
+                                **{**fixed, vary: value})
+               for value in values for pattern in patterns
+               for method in ("disk-directed", "traditional")]
     summaries = sweep_parallel(configs, trials=trials, progress=progress,
                                workers=workers, cache=cache)
     series = {}
@@ -142,57 +113,53 @@ def _sensitivity(vary, values, fixed, record_size, file_mb, trials,
               f"{summary.config.pattern}"
         series.setdefault(key, []).append(
             (getattr(summary.config, vary), summary.mean_throughput_mb))
-    return summaries, series
+    return summaries, (f"{title}\n\n"
+                       + format_series_table(series, x_label=x_label))
 
 
 def figure5(record_size=8192, file_mb=None, trials=1, paper_scale=False,
             cps=(1, 2, 4, 8, 16), patterns=_SENSITIVITY_PATTERNS, progress=None,
             workers=None, cache=None):
     """Figure 5: vary the number of CPs; contiguous layout, 8 KB records."""
-    summaries, series = _sensitivity(
+    return _sensitivity(
+        "Figure 5: throughput vs number of CPs (contiguous layout)", "CPs",
         "n_cps", cps, {"layout": "contiguous"}, record_size, file_mb, trials,
         paper_scale, patterns, progress, workers, cache)
-    text = ("Figure 5: throughput vs number of CPs (contiguous layout)\n\n"
-            + format_series_table(series, x_label="CPs"))
-    return summaries, text
 
 
 def figure6(record_size=8192, file_mb=None, trials=1, paper_scale=False,
             iops=(1, 2, 4, 8, 16), patterns=_SENSITIVITY_PATTERNS, progress=None,
             workers=None, cache=None):
     """Figure 6: vary the number of IOPs (and busses); 16 disks total."""
-    summaries, series = _sensitivity(
+    return _sensitivity(
+        "Figure 6: throughput vs number of IOPs/busses (contiguous layout, "
+        "16 disks)", "IOPs",
         "n_iops", iops, {"layout": "contiguous", "n_disks": 16}, record_size,
         file_mb, trials, paper_scale, patterns, progress, workers, cache)
-    text = ("Figure 6: throughput vs number of IOPs/busses (contiguous layout, "
-            "16 disks)\n\n" + format_series_table(series, x_label="IOPs"))
-    return summaries, text
 
 
 def figure7(record_size=8192, file_mb=None, trials=1, paper_scale=False,
             disks=(1, 2, 4, 8, 16, 32), patterns=_SENSITIVITY_PATTERNS,
             progress=None, workers=None, cache=None):
     """Figure 7: vary the number of disks on a single IOP; contiguous layout."""
-    summaries, series = _sensitivity(
+    return _sensitivity(
+        "Figure 7: throughput vs number of disks (1 IOP, contiguous layout)",
+        "disks",
         "n_disks", disks, {"layout": "contiguous", "n_iops": 1, "n_cps": 16},
         record_size, file_mb, trials, paper_scale, patterns, progress,
         workers, cache)
-    text = ("Figure 7: throughput vs number of disks (1 IOP, contiguous layout)\n\n"
-            + format_series_table(series, x_label="disks"))
-    return summaries, text
 
 
 def figure8(record_size=8192, file_mb=None, trials=1, paper_scale=False,
             disks=(1, 2, 4, 8, 16, 32), patterns=_SENSITIVITY_PATTERNS,
             progress=None, workers=None, cache=None):
     """Figure 8: vary the number of disks on a single IOP; random-blocks layout."""
-    summaries, series = _sensitivity(
+    return _sensitivity(
+        "Figure 8: throughput vs number of disks (1 IOP, random-blocks "
+        "layout)", "disks",
         "n_disks", disks, {"layout": "random", "n_iops": 1, "n_cps": 16},
         record_size, file_mb, trials, paper_scale, patterns, progress,
         workers, cache)
-    text = ("Figure 8: throughput vs number of disks (1 IOP, random-blocks "
-            "layout)\n\n" + format_series_table(series, x_label="disks"))
-    return summaries, text
 
 
 def table1():
@@ -266,6 +233,12 @@ FIGURES = {
 }
 
 
+def _artifact_figures():
+    """Names of the figures that write a JSON artifact, from the registry."""
+    return [name for name, generator in FIGURES.items()
+            if getattr(generator, "writes_artifact", False)]
+
+
 def _progress_printer(index, total, summary):
     row = summary.as_row()
     print(f"  [{index + 1}/{total}] {row['method']:22s} {row['pattern']:4s} "
@@ -299,9 +272,8 @@ def main(argv=None):
                              "figure only simulates changed data points")
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
                         help="also write the figure's docs/data JSON "
-                             "artifact (service-millions, service-admission, "
-                             "service-faults, ddio-flash and service-rebuild "
-                             "only)")
+                             "artifact (" + ", ".join(_artifact_figures())
+                             + " only)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress")
     args = parser.parse_args(argv)
 
@@ -312,37 +284,28 @@ def main(argv=None):
     selected = sorted(FIGURES) if args.figure == "all" else [args.figure]
     if args.figure == "claims":
         selected = ["figure3", "figure4"]
+    if args.json and set(selected) - set(_artifact_figures()):
+        parser.error(f"--json: {args.figure} writes no JSON artifact")
     collected = []
     for name in selected:
         generator = FIGURES[name]
         if name == "table1":
-            _rows, text = generator()
-        elif name in ("service", "service-sched", "service-overload",
-                      "service-faults", "service-millions",
-                      "service-admission", "ddio-flash",
-                      "service-rebuild"):
-            extra = {"json_path": args.json} \
-                if name in ("service-millions", "service-admission",
-                            "service-faults", "ddio-flash",
-                            "service-rebuild") \
-                and args.json else {}
-            summaries, text = generator(
-                trials=args.trials, progress=progress,
-                workers=args.workers, cache=args.cache, **extra)
-            collected.extend(summaries)
+            print(generator()[1])
+            print()
+            continue
+        options = dict(trials=args.trials, progress=progress,
+                       workers=args.workers, cache=args.cache)
+        if hasattr(generator, "writes_artifact"):
+            if args.json:
+                options["json_path"] = args.json
         elif name in ("figure3", "figure4"):
-            summaries, text = generator(
-                record_sizes=record_sizes, file_mb=args.file_mb,
-                trials=args.trials, paper_scale=args.paper_scale,
-                patterns=patterns, progress=progress,
-                workers=args.workers, cache=args.cache)
-            collected.extend(summaries)
+            options.update(record_sizes=record_sizes, file_mb=args.file_mb,
+                           paper_scale=args.paper_scale, patterns=patterns)
         else:
-            summaries, text = generator(
-                record_size=args.record_size or 8192, file_mb=args.file_mb,
-                trials=args.trials, paper_scale=args.paper_scale,
-                progress=progress, workers=args.workers, cache=args.cache)
-            collected.extend(summaries)
+            options.update(record_size=args.record_size or 8192,
+                           file_mb=args.file_mb, paper_scale=args.paper_scale)
+        summaries, text = generator(**options)
+        collected.extend(summaries)
         print(text)
         print()
 

@@ -16,8 +16,9 @@ like the paper figures.
 from dataclasses import dataclass
 
 from repro.disk.faults import FaultConfig
+from repro.disk.flash import matched_ssd_spec
 from repro.experiments.config import MEGABYTE
-from repro.experiments.report import format_series_table, format_table
+from repro.experiments.pipeline import service_figure_spec
 from repro.experiments.runner import register_experiment_family
 from repro.machine import MachineConfig
 from repro.workload.driver import ServiceResult, ServiceWorkload, run_service
@@ -270,22 +271,109 @@ register_experiment_family(ServiceExperimentConfig, run_service_experiment,
                            ServiceResult)
 
 
+# -- the shared grid builder and row helpers -------------------------------------
+
+def _grid(points, overrides, fixed=None, **swept_by):
+    """One :class:`ServiceExperimentConfig` per grid point.
+
+    *points* holds the fields each point sets (its label included), in
+    sweep order; *fixed* holds the figure's defaults for everything else.
+    *overrides* (the figure's extra keyword arguments) may replace any fixed
+    default but no field a point sets, nor any field *swept_by* names: it
+    maps each swept field to the figure parameter that sets it, which the
+    :class:`ValueError` names.
+    """
+    per_point = {key for point in points for key in point}
+    for key in overrides:
+        if key in per_point or key in swept_by:
+            hint = (f"; use its {swept_by[key]} argument"
+                    if key in swept_by else "")
+            raise ValueError(
+                f"{key} is set per grid point by this figure{hint}")
+    settings = {**(fixed or {}), **overrides}
+    return [ServiceExperimentConfig(**settings, **point) for point in points]
+
+
+def _mean(values):
+    """The figures' average over trials: ``sum / len``, 0.0 when empty.
+
+    Not :func:`statistics.fmean`, which rounds once at the end and so can
+    differ in the last bit at three or more trials.
+    """
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
+def _by_load(column):
+    """Series points of one row: ``column`` against its offered load."""
+    return lambda row: [(row["load_req_s"], row[column])]
+
+
+def _load_method_points(loads, methods):
+    return [dict(method=method, arrival_rate=load, label=f"{method}@{load:g}")
+            for load in loads for method in methods]
+
+
+def _short(config):
+    """Series name of a method: DDIO, or the method with TC for traditional."""
+    if config.method.startswith("disk-directed"):
+        return "DDIO"
+    return config.method.replace("traditional", "TC")
+
+
+def _stem(config):
+    """Series name from the label, less its ``@load`` suffix."""
+    return config.label.split("@", 1)[0]
+
+
+def _percentile(results, q):
+    return _mean(result.response_percentile(q) for result in results)
+
+
+_THROUGHPUT = ("Sustained throughput (Mbytes/s) vs offered load (req/s)",
+               "load", _by_load("throughput_mb"))
+_P99_MS = ("99th-percentile response time (ms) vs offered load (req/s)",
+           "load", _by_load("p99_ms"))
+
+
 # -- the figure ------------------------------------------------------------------
 
 def service_configs(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, **overrides):
     """The config grid of the service figure: one point per (load, method)."""
-    configs = []
-    for load in loads:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                label=f"{method}@{load:g}",
-                **overrides,
-            ))
-    return configs
+    return _grid(_load_method_points(loads, methods), overrides,
+                 method="methods", arrival_rate="loads")
 
 
+def _service_header(sample, arguments):
+    return (f"Service workload: {sample.n_requests} mixed collectives "
+            f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
+            f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
+            f"K={sample.concurrency} admitted, {sample.arrival} arrivals")
+
+
+def _service_row(summary):
+    config, results = summary.config, summary.results
+    return {
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "throughput_mb": summary.mean_throughput_mb,
+        "p50_ms": _percentile(results, 0.50) * 1e3,
+        "p99_ms": _percentile(results, 0.99) * 1e3,
+        "max_in_flight": max(result.max_in_flight for result in results),
+        "trials": len(results),
+    }
+
+
+@service_figure_spec(
+    name="service", configs=service_configs, header=_service_header,
+    row=_service_row,
+    columns=("method", "load_req_s", "throughput_mb", "p50_ms", "p99_ms",
+             "max_in_flight", "trials"),
+    series_name=_short,
+    series=(_THROUGHPUT,
+            ("Median response time (ms) vs offered load (req/s)", "load",
+             _by_load("p50_ms")),
+            _P99_MS))
 def service_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, trials=1,
                    progress=None, workers=None, cache=None, **overrides):
     """Throughput and response-time percentiles vs offered load, per method.
@@ -294,58 +382,6 @@ def service_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, trials=1,
     keyword arguments override :class:`ServiceExperimentConfig` fields (e.g.
     ``n_cps=4, file_size=128*1024`` for a laptop-scale run).
     """
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_configs(loads=loads, methods=methods, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    throughput_series = {}
-    p50_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else \
-            config.method.replace("traditional", "TC")
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        p50 = _mean(result.response_percentile(0.50) for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99) for result in summary.results)
-        throughput_series.setdefault(name, []).append((load, mean_tp))
-        p50_series.setdefault(name, []).append((load, p50 * 1e3))
-        p99_series.setdefault(name, []).append((load, p99 * 1e3))
-        rows.append({
-            "method": config.method,
-            "load_req_s": load,
-            "throughput_mb": mean_tp,
-            "p50_ms": p50 * 1e3,
-            "p99_ms": p99 * 1e3,
-            "max_in_flight": max(result.max_in_flight
-                                 for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Service workload: {sample.n_requests} mixed collectives "
-        f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
-        f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
-        f"K={sample.concurrency} admitted, {sample.arrival} arrivals\n\n"
-        + format_table(rows, columns=["method", "load_req_s", "throughput_mb",
-                                      "p50_ms", "p99_ms", "max_in_flight",
-                                      "trials"])
-        + "\n\nSustained throughput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-        + "\n\nMedian response time (ms) vs offered load (req/s)\n"
-        + format_series_table(p50_series, x_label="load")
-        + "\n\n99th-percentile response time (ms) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    return summaries, text
-
-
-def _mean(values):
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
 
 
 # -- the scheduler-comparison figure ---------------------------------------------
@@ -380,27 +416,52 @@ def service_scheduler_configs(loads=SCHEDULER_LOADS,
     row consistent with the sweep it anchors — however many *pool_sizes* are
     swept; a pool sweep does not duplicate the baseline.
     """
-    configs = []
+    points = []
     for concurrency in concurrencies:
         for scheduler in schedulers:
             shared = scheduler.startswith("shared-")
             for pool in (pool_sizes if shared else pool_sizes[:1]):
-                for load in loads:
-                    label = f"K={concurrency} {scheduler}"
-                    if shared and len(pool_sizes) > 1:
-                        label += f" w={pool}"
-                    configs.append(ServiceExperimentConfig(
-                        method="disk-directed",
-                        arrival_rate=load,
-                        concurrency=concurrency,
-                        disk_scheduler=scheduler,
-                        shared_queue_workers=pool,
-                        label=f"{label}@{load:g}",
-                        **overrides,
-                    ))
-    return configs
+                name = f"K={concurrency} {scheduler}"
+                if shared and len(pool_sizes) > 1:
+                    name += f" w={pool}"
+                points += [dict(method="disk-directed",
+                                concurrency=concurrency,
+                                disk_scheduler=scheduler,
+                                shared_queue_workers=pool, arrival_rate=load,
+                                label=f"{name}@{load:g}") for load in loads]
+    return _grid(points, overrides,
+                 concurrency="concurrencies", disk_scheduler="schedulers",
+                 shared_queue_workers="pool_sizes", arrival_rate="loads")
 
 
+def _scheduler_header(sample, arguments):
+    return (f"Cross-collective IOP scheduling (disk-directed I/O): "
+            f"per-collective sort (fcfs drive queue) vs shared per-disk queues\n"
+            f"{sample.n_requests} mixed collectives "
+            f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
+            f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
+            f"{sample.arrival} arrivals")
+
+
+def _scheduler_row(summary):
+    config = summary.config
+    return {
+        "K": config.concurrency,
+        "scheduler": config.disk_scheduler,
+        "workers": config.shared_queue_workers,
+        "load_req_s": config.arrival_rate,
+        "throughput_mb": summary.mean_throughput_mb,
+        "p99_ms": _percentile(summary.results, 0.99) * 1e3,
+        "trials": len(summary.results),
+    }
+
+
+@service_figure_spec(
+    name="service-sched", configs=service_scheduler_configs,
+    header=_scheduler_header, row=_scheduler_row,
+    columns=("K", "scheduler", "workers", "load_req_s", "throughput_mb",
+             "p99_ms", "trials"),
+    series_name=_stem, series=(_THROUGHPUT, _P99_MS))
 def service_scheduler_figure(loads=SCHEDULER_LOADS,
                              concurrencies=SCHEDULER_CONCURRENCIES,
                              schedulers=SCHEDULER_CHOICES,
@@ -421,54 +482,6 @@ def service_scheduler_figure(loads=SCHEDULER_LOADS,
     Returns ``(summaries, text)`` like every other figure generator; extra
     keyword arguments override :class:`ServiceExperimentConfig` fields.
     """
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_scheduler_configs(loads=loads,
-                                        concurrencies=concurrencies,
-                                        schedulers=schedulers,
-                                        pool_sizes=pool_sizes, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    sweep_pools = len(pool_sizes) > 1
-    throughput_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = f"K={config.concurrency} {config.disk_scheduler}"
-        if sweep_pools and config.disk_scheduler.startswith("shared-"):
-            name += f" w={config.shared_queue_workers}"
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        p99 = _mean(result.response_percentile(0.99) for result in summary.results)
-        throughput_series.setdefault(name, []).append((load, mean_tp))
-        p99_series.setdefault(name, []).append((load, p99 * 1e3))
-        rows.append({
-            "K": config.concurrency,
-            "scheduler": config.disk_scheduler,
-            "workers": config.shared_queue_workers,
-            "load_req_s": load,
-            "throughput_mb": mean_tp,
-            "p99_ms": p99 * 1e3,
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Cross-collective IOP scheduling (disk-directed I/O): "
-        f"per-collective sort (fcfs drive queue) vs shared per-disk queues\n"
-        f"{sample.n_requests} mixed collectives "
-        f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
-        f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
-        f"{sample.arrival} arrivals\n\n"
-        + format_table(rows, columns=["K", "scheduler", "workers",
-                                      "load_req_s", "throughput_mb", "p99_ms",
-                                      "trials"])
-        + "\n\nSustained throughput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-        + "\n\n99th-percentile response time (ms) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    return summaries, text
 
 
 # -- the overload figure ----------------------------------------------------------
@@ -482,6 +495,16 @@ OVERLOAD_LOADS = (4.0, 8.0, 16.0, 24.0, 32.0)
 #: Methods compared by the overload figure.
 OVERLOAD_METHODS = ("disk-directed", "traditional")
 
+#: The server the overload, fault, rebuild and admission figures share: 32
+#: disks over the default 16 IOPs, random layout, 32 requests, K=4.
+OVERLOAD_SERVER = dict(n_disks=32, n_requests=32, concurrency=4,
+                       layout="random")
+
+#: The overload stream: Pareto (alpha=1.5) file sizes and a record mix that
+#: includes the paper's 8-byte worst case.
+OVERLOAD_STREAM = dict(size_distribution="pareto", size_alpha=1.5,
+                       record_sizes=(8, 8192))
+
 
 def service_overload_configs(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
                              **overrides):
@@ -493,28 +516,47 @@ def service_overload_configs(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
     machine (32 disks over 16 IOPs) so the overload comes from the request
     stream, not from an undersized back end.
     """
-    defaults = dict(
-        size_distribution="pareto",
-        size_alpha=1.5,
-        record_sizes=(8, 8192),
-        n_disks=32,
-        n_requests=32,
-        concurrency=4,
-        layout="random",
-    )
-    defaults.update(overrides)
-    configs = []
-    for load in loads:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                label=f"{method}@{load:g}",
-                **defaults,
-            ))
-    return configs
+    return _grid(_load_method_points(loads, methods), overrides,
+                 {**OVERLOAD_STREAM, **OVERLOAD_SERVER},
+                 method="methods", arrival_rate="loads")
 
 
+def _overload_header(sample, arguments):
+    record_mix = ",".join(str(size) for size in
+                          (sample.record_sizes or (sample.record_size,)))
+    return (f"Overload study: {sample.arrival} arrivals to "
+            f"~{max(arguments['loads']):g} req/s, "
+            f"{sample.size_distribution} file sizes (mean "
+            f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
+            f"record mix {{{record_mix}}} bytes, {sample.layout} layout, "
+            f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
+            f"disks, K={sample.concurrency}")
+
+
+def _overload_row(summary):
+    config, results = summary.config, summary.results
+    return {
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "throughput_mb": summary.mean_throughput_mb,
+        "mean_rt_s": _mean(result.mean_response_time for result in results),
+        "p99_rt_s": _percentile(results, 0.99),
+        "max_in_flight": max(result.max_in_flight for result in results),
+        "trials": len(results),
+    }
+
+
+@service_figure_spec(
+    name="service-overload", configs=service_overload_configs,
+    header=_overload_header, row=_overload_row,
+    columns=("method", "load_req_s", "throughput_mb", "mean_rt_s",
+             "p99_rt_s", "max_in_flight", "trials"),
+    series_name=_short,
+    series=(_THROUGHPUT,
+            ("Mean response time (s) vs offered load (req/s) — the asymptote",
+             "load", _by_load("mean_rt_s")),
+            ("99th-percentile response time (s) vs offered load (req/s)",
+             "load", _by_load("p99_rt_s"))))
 def service_overload_figure(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
                             trials=1, progress=None, workers=None, cache=None,
                             **overrides):
@@ -535,59 +577,6 @@ def service_overload_figure(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
     Returns ``(summaries, text)``; extra keyword arguments override
     :class:`ServiceExperimentConfig` fields (tests run it on a tiny machine).
     """
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_overload_configs(loads=loads, methods=methods,
-                                       **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    throughput_series = {}
-    mean_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else \
-            config.method.replace("traditional", "TC")
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        mean_rt = _mean(result.mean_response_time for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        throughput_series.setdefault(name, []).append((load, mean_tp))
-        mean_series.setdefault(name, []).append((load, mean_rt))
-        p99_series.setdefault(name, []).append((load, p99))
-        rows.append({
-            "method": config.method,
-            "load_req_s": load,
-            "throughput_mb": mean_tp,
-            "mean_rt_s": mean_rt,
-            "p99_rt_s": p99,
-            "max_in_flight": max(result.max_in_flight
-                                 for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    record_mix = ",".join(str(size) for size in
-                          (sample.record_sizes or (sample.record_size,)))
-    text = (
-        f"Overload study: {sample.arrival} arrivals to ~{max(loads):g} req/s, "
-        f"{sample.size_distribution} file sizes (mean "
-        f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
-        f"record mix {{{record_mix}}} bytes, {sample.layout} layout, "
-        f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} disks, "
-        f"K={sample.concurrency}\n\n"
-        + format_table(rows, columns=["method", "load_req_s", "throughput_mb",
-                                      "mean_rt_s", "p99_rt_s", "max_in_flight",
-                                      "trials"])
-        + "\n\nSustained throughput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-        + "\n\nMean response time (s) vs offered load (req/s) — the asymptote\n"
-        + format_series_table(mean_series, x_label="load")
-        + "\n\n99th-percentile response time (s) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    return summaries, text
 
 
 # -- the million-session figure ----------------------------------------------------
@@ -624,7 +613,7 @@ def service_millions_configs(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
     Every config runs with ``streaming=True`` (no per-request record list),
     which is what makes the million-session rows possible at all.
     """
-    defaults = dict(
+    fixed = dict(
         n_cps=8,
         n_iops=8,
         n_disks=128,
@@ -636,22 +625,57 @@ def service_millions_configs(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
         concurrency=64,
         streaming=True,
     )
-    defaults.update(overrides)
-    configs = []
-    for load in tuple(loads) + (headline_load,):
-        n_requests = headline_requests if load == headline_load \
-            else sweep_requests
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                n_requests=n_requests,
-                label=f"{method}@{load:g}",
-                **defaults,
-            ))
-    return configs
+    points = [dict(method=method, arrival_rate=load,
+                   n_requests=headline_requests if load == headline_load
+                   else sweep_requests, label=f"{method}@{load:g}")
+              for load in (*loads, headline_load) for method in methods]
+    return _grid(points, overrides, fixed, method="methods",
+                 arrival_rate="loads/headline_load",
+                 n_requests="sweep_requests/headline_requests")
 
 
+def _millions_header(sample, arguments):
+    return (f"Million-session overload asymptote: {sample.arrival} arrivals to "
+            f"{arguments['headline_load']:g} req/s, "
+            f"{arguments['headline_requests']} sessions per headline row "
+            f"({arguments['sweep_requests']} per sweep row), "
+            f"{sample.file_size // KILOBYTE} KB sessions over {sample.n_files} "
+            f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs / "
+            f"{sample.n_disks} disks, K={sample.concurrency}, streaming driver")
+
+
+def _millions_row(summary):
+    config, results = summary.config, summary.results
+    return {
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "n_requests": config.n_requests,
+        "completion_rate_s": _mean(
+            result.aggregates.get("completed", result.n_requests)
+            / result.elapsed for result in results if result.elapsed > 0),
+        "throughput_mb": summary.mean_throughput_mb,
+        "p50_rt_s": _percentile(results, 0.50),
+        "p99_rt_s": _percentile(results, 0.99),
+        "max_in_flight": max(result.max_in_flight for result in results),
+        "trials": len(results),
+    }
+
+
+@service_figure_spec(
+    name="service-millions", configs=service_millions_configs,
+    header=_millions_header, row=_millions_row,
+    columns=("method", "load_req_s", "n_requests", "completion_rate_s",
+             "throughput_mb", "p50_rt_s", "p99_rt_s", "max_in_flight",
+             "trials"),
+    series_name=_short,
+    series=(("Completion rate (sessions/s) vs offered load (req/s) — the "
+             "asymptote", "load", _by_load("completion_rate_s")),
+            ("99th-percentile response time (s) vs offered load (req/s)",
+             "load", _by_load("p99_rt_s"))),
+    artifact=("arrival", "file_size", "record_size", "layout", "n_files",
+              "n_cps", "n_iops", "n_disks", "concurrency", "streaming",
+              "headline_load", "headline_requests", "sweep_requests",
+              "trials", "seed"))
 def service_millions_figure(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
                             headline_load=MILLIONS_HEADLINE_LOAD,
                             sweep_requests=MILLIONS_SWEEP_REQUESTS,
@@ -681,94 +705,6 @@ def service_millions_figure(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
     Returns ``(summaries, text)``; extra keyword arguments override
     :class:`ServiceExperimentConfig` fields (tests shrink the run this way).
     """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_millions_configs(
-        loads=loads, methods=methods, headline_load=headline_load,
-        sweep_requests=sweep_requests, headline_requests=headline_requests,
-        **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    rate_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else "TC"
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        rate = _mean(result.aggregates.get("completed", result.n_requests)
-                     / result.elapsed
-                     for result in summary.results if result.elapsed > 0)
-        p50 = _mean(result.response_percentile(0.50)
-                    for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        rate_series.setdefault(name, []).append((load, rate))
-        p99_series.setdefault(name, []).append((load, p99))
-        rows.append({
-            "method": config.method,
-            "load_req_s": load,
-            "n_requests": config.n_requests,
-            "completion_rate_s": rate,
-            "throughput_mb": mean_tp,
-            "p50_rt_s": p50,
-            "p99_rt_s": p99,
-            "max_in_flight": max(result.max_in_flight
-                                 for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Million-session overload asymptote: {sample.arrival} arrivals to "
-        f"{headline_load:g} req/s, {headline_requests} sessions per headline "
-        f"row ({sweep_requests} per sweep row), "
-        f"{sample.file_size // KILOBYTE} KB sessions over {sample.n_files} "
-        f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs / "
-        f"{sample.n_disks} disks, K={sample.concurrency}, streaming driver\n\n"
-        + format_table(rows, columns=["method", "load_req_s", "n_requests",
-                                      "completion_rate_s", "throughput_mb",
-                                      "p50_rt_s", "p99_rt_s", "max_in_flight",
-                                      "trials"])
-        + "\n\nCompletion rate (sessions/s) vs offered load (req/s) — the "
-          "asymptote\n"
-        + format_series_table(rate_series, x_label="load")
-        + "\n\n99th-percentile response time (s) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-millions",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-millions --json docs/data/"
-                          "service_millions.json",
-            "config": {
-                "arrival": sample.arrival,
-                "file_size": sample.file_size,
-                "record_size": sample.record_size,
-                "layout": sample.layout,
-                "n_files": sample.n_files,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "concurrency": sample.concurrency,
-                "streaming": sample.streaming,
-                "headline_load": headline_load,
-                "headline_requests": headline_requests,
-                "sweep_requests": sweep_requests,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
 
 
 # -- the fault-injection figure ----------------------------------------------------
@@ -809,32 +745,63 @@ def service_faults_configs(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
     with fixed file sizes and a single near-saturation load so every delta
     against the healthy row is attributable to the injected faults.
     *device* swaps the storage backend (``disk`` / ``ssd``) so the same
-    fault taxonomy can be priced on flash.
+    fault taxonomy can be priced on flash.  *load* is the default
+    ``arrival_rate``, which an override may replace (tests shrink the run
+    this way).
     """
-    defaults = dict(
-        n_disks=32,
-        n_requests=32,
-        concurrency=4,
-        layout="random",
-        device=device,
-    )
-    defaults.update(overrides)
-    # An arrival_rate override (tests shrink the run this way) wins over the
-    # explicit load parameter rather than colliding with it.
-    load = defaults.pop("arrival_rate", load)
-    configs = []
-    for scenario, faults in scenarios:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                label=f"{scenario}:{method}",
-                **faults,
-                **defaults,
-            ))
-    return configs
+    fixed = dict(OVERLOAD_SERVER, device=device, arrival_rate=load)
+    points = [dict(method=method, label=f"{scenario}:{method}", **faults)
+              for scenario, faults in scenarios for method in methods]
+    swept = {field: "scenarios" for _, faults in scenarios for field in faults}
+    return _grid(points, overrides, fixed, method="methods", **swept)
 
 
+def _faults_header(sample, arguments):
+    return (f"Fault injection on {sample.device}: "
+            f"{len(arguments['scenarios'])} scenarios x DDIO/TC under "
+            f"bounded retry (on_fault={sample.on_fault!r}), "
+            f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
+            f"{sample.n_requests} mixed "
+            f"collectives over {sample.n_files} {sample.layout} files, "
+            f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
+            f"disks")
+
+
+def _faults_row(summary):
+    config, results = summary.config, summary.results
+    return {
+        "scenario": config.label.split(":", 1)[0],
+        "method": config.method,
+        "goodput_mb": _mean(result.goodput_mb for result in results),
+        "p99_ms": _percentile(results, 0.99) * 1e3,
+        "failed_mb": _mean(result.failed_bytes / MEGABYTE
+                           for result in results),
+        "lost_mb": _mean(result.lost_bytes / MEGABYTE for result in results),
+        "retries": _mean(result.total_retries for result in results),
+        "degraded": _mean(result.degraded_requests for result in results),
+        "trials": len(results),
+    }
+
+
+def _faults_derived(sample, call):
+    return {"scenarios": [name for name, _ in call["scenarios"]],
+            "load_req_s": sample.arrival_rate}
+
+
+@service_figure_spec(
+    name="service-faults", configs=service_faults_configs,
+    header=_faults_header, row=_faults_row,
+    columns=("scenario", "method", "goodput_mb", "p99_ms", "failed_mb",
+             "lost_mb", "retries", "degraded", "trials"),
+    series_name=_short,
+    series=(("Goodput (Mbytes/s) per fault scenario", "scenario",
+             lambda row: [(row["scenario"], row["goodput_mb"])]),
+            ("99th-percentile response time (ms) per fault scenario",
+             "scenario", lambda row: [(row["scenario"], row["p99_ms"])])),
+    artifact=("device", "scenarios", "methods", "load_req_s", "on_fault",
+              "n_requests", "concurrency", "layout", "n_cps", "n_iops",
+              "n_disks", "trials", "seed"),
+    derived=_faults_derived)
 def service_faults_figure(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
                           load=FAULT_LOAD, trials=1, progress=None,
                           workers=None, cache=None, json_path=None,
@@ -858,92 +825,6 @@ def service_faults_figure(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
     ``(summaries, text)``; extra keyword arguments override
     :class:`ServiceExperimentConfig` fields (tests run a tiny machine).
     """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_faults_configs(scenarios=scenarios, methods=methods,
-                                     load=load, device=device, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    goodput_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        scenario = config.label.split(":", 1)[0]
-        name = "DDIO" if config.method.startswith("disk-directed") else "TC"
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"delivered + failed != requested")
-        goodput = _mean(result.goodput_mb for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        goodput_series.setdefault(name, []).append((scenario, goodput))
-        p99_series.setdefault(name, []).append((scenario, p99 * 1e3))
-        rows.append({
-            "scenario": scenario,
-            "method": config.method,
-            "goodput_mb": goodput,
-            "p99_ms": p99 * 1e3,
-            "failed_mb": _mean(result.failed_bytes / MEGABYTE
-                               for result in summary.results),
-            "lost_mb": _mean(result.lost_bytes / MEGABYTE
-                             for result in summary.results),
-            "retries": _mean(result.total_retries
-                             for result in summary.results),
-            "degraded": _mean(result.degraded_requests
-                              for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Fault injection on {sample.device}: {len(scenarios)} scenarios x "
-        f"DDIO/TC under "
-        f"bounded retry (on_fault={sample.on_fault!r}), "
-        f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
-        f"{sample.n_requests} mixed "
-        f"collectives over {sample.n_files} {sample.layout} files, "
-        f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
-        f"disks\n\n"
-        + format_table(rows, columns=["scenario", "method", "goodput_mb",
-                                      "p99_ms", "failed_mb", "lost_mb",
-                                      "retries", "degraded", "trials"])
-        + "\n\nGoodput (Mbytes/s) per fault scenario\n"
-        + format_series_table(goodput_series, x_label="scenario")
-        + "\n\n99th-percentile response time (ms) per fault scenario\n"
-        + format_series_table(p99_series, x_label="scenario")
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-faults",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-faults --json <path>",
-            "config": {
-                "device": sample.device,
-                "scenarios": [name for name, _ in scenarios],
-                "methods": list(methods),
-                "load_req_s": sample.arrival_rate,
-                "on_fault": sample.on_fault,
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
 
 
 # -- the rebuild figure ------------------------------------------------------------
@@ -961,6 +842,9 @@ REBUILD_KILL_TIME = 1.0
 #: window is wide and the foreground-vs-rebuild contention is visible.
 REBUILD_BANDWIDTH = 512 * 1024
 
+#: The phases of the drive-loss timeline, in order.
+REBUILD_PHASES = ("healthy", "degraded", "rebuilt")
+
 
 def service_rebuild_configs(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
                             load=FAULT_LOAD, **overrides):
@@ -971,29 +855,18 @@ def service_rebuild_configs(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
     :data:`REBUILD_BANDWIDTH`; the machine otherwise mirrors the fault
     figure (32 drives, random layout, near-saturation load).
     """
-    defaults = dict(
-        n_disks=32,
-        n_requests=32,
-        concurrency=4,
-        layout="random",
+    fixed = dict(
+        OVERLOAD_SERVER,
         redundancy="parity",
         rebuild_bandwidth=float(REBUILD_BANDWIDTH),
         fault_fail_stop_disk=0,
         fault_fail_stop_time=REBUILD_KILL_TIME,
+        arrival_rate=load,
     )
-    defaults.update(overrides)
-    load = defaults.pop("arrival_rate", load)
-    configs = []
-    for device in devices:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                device=device,
-                label=f"{device}:{method}",
-                **defaults,
-            ))
-    return configs
+    points = [dict(method=method, device=device, label=f"{device}:{method}")
+              for device in devices for method in methods]
+    return _grid(points, overrides, fixed, method="methods",
+                 device="devices")
 
 
 def _phase_goodputs(result, kill_time):
@@ -1023,6 +896,63 @@ def _phase_goodputs(result, kill_time):
     return goodputs
 
 
+def _rebuild_header(sample, arguments):
+    return (f"Declustered parity under fail-stop: drive "
+            f"{sample.fault_fail_stop_disk} of {sample.n_disks} killed at "
+            f"t={sample.fault_fail_stop_time:g}s, rebuild capped at "
+            f"{sample.rebuild_bandwidth / MEGABYTE:.2f} Mbytes/s, "
+            f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
+            f"{sample.n_requests} mixed collectives over {sample.n_files} "
+            f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs")
+
+
+def _rebuild_row(summary):
+    config, results = summary.config, summary.results
+    phases = [_phase_goodputs(result, config.fault_fail_stop_time)
+              for result in results]
+
+    def aggregate(key, scale=1):
+        return _mean(result.aggregates.get(key, 0) / scale
+                     for result in results)
+
+    return {
+        "device": config.device,
+        "method": config.method,
+        **{f"{phase}_mb": _mean(goodputs[phase] for goodputs in phases)
+           for phase in REBUILD_PHASES},
+        "p99_ms": _percentile(results, 0.99) * 1e3,
+        "reconstructed_mb": aggregate("reconstructed_bytes", MEGABYTE),
+        "parity_overhead_mb": aggregate("parity_overhead_bytes", MEGABYTE),
+        "rebuild_s": aggregate("rebuild_seconds"),
+        "rebuilt_rows": aggregate("rebuilt_rows"),
+        "failed_mb": 0.0,
+        "trials": len(results),
+    }
+
+
+def _rebuild_derived(sample, call):
+    return {"load_req_s": sample.arrival_rate,
+            "fail_stop_disk": sample.fault_fail_stop_disk,
+            "fail_stop_time": sample.fault_fail_stop_time}
+
+
+@service_figure_spec(
+    name="service-rebuild", configs=service_rebuild_configs,
+    header=_rebuild_header, row=_rebuild_row,
+    columns=("device", "method", "healthy_mb", "degraded_mb", "rebuilt_mb",
+             "p99_ms", "reconstructed_mb", "parity_overhead_mb", "rebuild_s",
+             "rebuilt_rows", "failed_mb", "trials"),
+    series_name=lambda config: f"{config.device}:{_short(config)}",
+    series=(("Goodput (Mbytes/s) per phase of the drive-loss timeline",
+             "phase", lambda row: [(phase, row[f"{phase}_mb"])
+                                   for phase in REBUILD_PHASES]),),
+    footer="failed_mb is asserted zero: parity degrades goodput, never data.",
+    lossless=True,
+    artifact=("devices", "methods", "load_req_s", "redundancy",
+              "rebuild_bandwidth", "fail_stop_disk", "fail_stop_time",
+              "n_requests", "concurrency", "layout", "n_cps", "n_iops",
+              "n_disks", "trials", "seed"),
+    derived=_rebuild_derived)
 def service_rebuild_figure(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
                            load=FAULT_LOAD, trials=1, progress=None,
                            workers=None, cache=None, json_path=None,
@@ -1043,110 +973,9 @@ def service_rebuild_figure(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
     When *json_path* is given the rows are written as the
     ``docs/data/service_rebuild.json`` artifact quoted by
     ``docs/redundancy.md``.  Returns ``(summaries, text)``; extra keyword
-    arguments override :class:`ServiceExperimentConfig` fields (tests and
-    the CI smoke step shrink the run).
+    arguments override :class:`ServiceExperimentConfig` fields (tests
+    shrink the run).
     """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_rebuild_configs(methods=methods, devices=devices,
-                                      load=load, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    rows = []
-    phase_series = {}
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else "TC"
-        series = f"{config.device}:{name}"
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"delivered + failed != requested")
-            if result.failed_bytes or result.lost_bytes:
-                raise AssertionError(
-                    f"parity lost data in {config.label}: "
-                    f"failed={result.failed_bytes} lost={result.lost_bytes}")
-        phases = [_phase_goodputs(result, config.fault_fail_stop_time)
-                  for result in summary.results]
-        row = {
-            "device": config.device,
-            "method": config.method,
-            "healthy_mb": _mean(p["healthy"] for p in phases),
-            "degraded_mb": _mean(p["degraded"] for p in phases),
-            "rebuilt_mb": _mean(p["rebuilt"] for p in phases),
-            "p99_ms": _mean(result.response_percentile(0.99)
-                            for result in summary.results) * 1e3,
-            "reconstructed_mb": _mean(
-                result.aggregates.get("reconstructed_bytes", 0) / MEGABYTE
-                for result in summary.results),
-            "parity_overhead_mb": _mean(
-                result.aggregates.get("parity_overhead_bytes", 0) / MEGABYTE
-                for result in summary.results),
-            "rebuild_s": _mean(result.aggregates.get("rebuild_seconds", 0.0)
-                               for result in summary.results),
-            "rebuilt_rows": _mean(result.aggregates.get("rebuilt_rows", 0)
-                                  for result in summary.results),
-            "failed_mb": 0.0,
-            "trials": len(summary.results),
-        }
-        rows.append(row)
-        for phase in ("healthy", "degraded", "rebuilt"):
-            phase_series.setdefault(series, []).append(
-                (phase, row[f"{phase}_mb"]))
-    sample = configs[0]
-    text = (
-        f"Declustered parity under fail-stop: drive {sample.fault_fail_stop_disk} "
-        f"of {sample.n_disks} killed at t={sample.fault_fail_stop_time:g}s, "
-        f"rebuild capped at "
-        f"{sample.rebuild_bandwidth / MEGABYTE:.2f} Mbytes/s, "
-        f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
-        f"{sample.n_requests} mixed collectives over {sample.n_files} "
-        f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs"
-        f"\n\n"
-        + format_table(rows, columns=["device", "method", "healthy_mb",
-                                      "degraded_mb", "rebuilt_mb", "p99_ms",
-                                      "reconstructed_mb",
-                                      "parity_overhead_mb", "rebuild_s",
-                                      "rebuilt_rows", "failed_mb", "trials"])
-        + "\n\nGoodput (Mbytes/s) per phase of the drive-loss timeline\n"
-        + format_series_table(phase_series, x_label="phase")
-        + "\n\nfailed_mb is asserted zero: parity degrades goodput, "
-          "never data."
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-rebuild",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-rebuild --json docs/data/"
-                          "service_rebuild.json",
-            "config": {
-                "devices": list(devices),
-                "methods": list(methods),
-                "load_req_s": sample.arrival_rate,
-                "redundancy": sample.redundancy,
-                "rebuild_bandwidth": sample.rebuild_bandwidth,
-                "fail_stop_disk": sample.fault_fail_stop_disk,
-                "fail_stop_time": sample.fault_fail_stop_time,
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
 
 
 # -- the admission figure ----------------------------------------------------------
@@ -1168,6 +997,16 @@ ADMISSION_TARGET_P99 = 2.0
 ADMISSION_SHED_AGE = 1.0
 ADMISSION_CONTROL_INTERVAL = 0.25
 
+#: The controller row's admission fields; the other rows set only
+#: ``admission_policy``.
+ADMISSION_CONTROLLER = dict(
+    admission_policy="fifo",
+    controller_target_p99=ADMISSION_TARGET_P99,
+    controller_interval=ADMISSION_CONTROL_INTERVAL,
+    controller_shed=True,
+    controller_shed_age=ADMISSION_SHED_AGE,
+)
+
 #: Mean deadline budget (seconds after arrival) stamped on every session of
 #: the admission figure; the EDF row drops sessions whose deadline has
 #: already passed at grant time.
@@ -1185,42 +1024,80 @@ def service_admission_configs(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
     ignore both, priority ignores deadlines, EDF ignores classes) still run
     the identical request stream, keeping every column comparable.
     """
-    defaults = dict(
-        size_distribution="pareto",
-        size_alpha=1.5,
-        record_sizes=(8, 8192),
-        n_disks=32,
-        n_requests=64,
-        concurrency=4,
-        layout="random",
-        priority_levels=2,
-        deadline_slack=ADMISSION_DEADLINE_SLACK,
-    )
-    defaults.update(overrides)
-    target = defaults.pop("controller_target_p99", ADMISSION_TARGET_P99)
-    shed_age = defaults.pop("controller_shed_age", ADMISSION_SHED_AGE)
-    interval = defaults.pop("controller_interval", ADMISSION_CONTROL_INTERVAL)
-    configs = []
-    for load in loads:
-        for row in rows:
-            if row == "controller":
-                extra = dict(admission_policy="fifo",
-                             controller_target_p99=target,
-                             controller_interval=interval,
-                             controller_shed=True,
-                             controller_shed_age=shed_age)
-            else:
-                extra = dict(admission_policy=row)
-            configs.append(ServiceExperimentConfig(
-                method="disk-directed",
-                arrival_rate=load,
-                label=f"{row}@{load:g}",
-                **extra,
-                **defaults,
-            ))
-    return configs
+    fixed = {
+        **OVERLOAD_STREAM,
+        **OVERLOAD_SERVER,
+        "n_requests": 64,
+        "priority_levels": 2,
+        "deadline_slack": ADMISSION_DEADLINE_SLACK,
+    }
+    points = [dict(ADMISSION_CONTROLLER if row == "controller"
+                   else dict(admission_policy=row), method="disk-directed",
+                   arrival_rate=load, label=f"{row}@{load:g}")
+              for load in loads for row in rows]
+    return _grid(points, overrides, fixed, arrival_rate="loads",
+                 **dict.fromkeys(ADMISSION_CONTROLLER, "rows"))
 
 
+def _admission_header(sample, arguments):
+    return (f"Admission control under overload (disk-directed I/O): "
+            f"{sample.arrival} arrivals to {max(arguments['loads']):g} req/s, "
+            f"{sample.size_distribution} file sizes (mean "
+            f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
+            f"{sample.n_requests} sessions, {sample.priority_levels} priority "
+            f"classes, ~{sample.deadline_slack:g} s deadlines, "
+            f"K={sample.concurrency} static, {sample.n_cps} CPs / "
+            f"{sample.n_iops} IOPs / {sample.n_disks} disks")
+
+
+def _class_p99(result, class_key):
+    """p99 of one priority class's response sketch (0.0 when absent)."""
+    from repro.workload.aggregate import QuantileSketch
+
+    data = result.class_sketches.get(class_key)
+    if not data:
+        return 0.0
+    return QuantileSketch.from_dict(data).quantile(0.99)
+
+
+def _admission_row(summary):
+    config, results = summary.config, summary.results
+    p99 = _percentile(results, 0.99)
+    row = {
+        "policy": _stem(config),
+        "load_req_s": config.arrival_rate,
+        "goodput_mb": _mean(result.goodput_mb for result in results),
+        "p50_s": _percentile(results, 0.50),
+        "p99_s": p99,
+        "urgent_p99_s": _mean(_class_p99(result, "0") for result in results),
+        "dropped": _mean(result.dropped_requests for result in results),
+        "shed": _mean(result.shed_requests for result in results),
+        "shed_mb": _mean(result.shed_bytes / MEGABYTE for result in results),
+        "trials": len(results),
+    }
+    target = config.controller_target_p99
+    if target > 0:
+        row["slo_target_s"] = target
+        row["slo_met"] = p99 <= target
+    return row
+
+
+@service_figure_spec(
+    name="service-admission", configs=service_admission_configs,
+    header=_admission_header, row=_admission_row,
+    columns=("policy", "load_req_s", "goodput_mb", "p50_s", "p99_s",
+             "urgent_p99_s", "dropped", "shed", "shed_mb", "trials"),
+    series_name=_stem,
+    series=(("99th-percentile response time (s) vs offered load (req/s)",
+             "load", _by_load("p99_s")),
+            ("Goodput (Mbytes/s) vs offered load (req/s)", "load",
+             _by_load("goodput_mb"))),
+    artifact=("arrival", "loads", "n_requests", "concurrency",
+              "size_distribution", "size_alpha", "file_size", "record_sizes",
+              "layout", "n_cps", "n_iops", "n_disks", "priority_levels",
+              "deadline_slack", "controller_target_p99",
+              "controller_shed_age", "controller_interval", "trials", "seed"),
+    derived=lambda sample, call: ADMISSION_CONTROLLER)
 def service_admission_figure(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
                              trials=1, progress=None, workers=None,
                              cache=None, json_path=None, **overrides):
@@ -1245,118 +1122,6 @@ def service_admission_figure(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
     docs.  Returns ``(summaries, text)``; extra keyword arguments override
     :class:`ServiceExperimentConfig` fields (tests shrink the run).
     """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_admission_configs(loads=loads, rows=rows, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    p99_series = {}
-    goodput_series = {}
-    table_rows = []
-    for summary in summaries:
-        config = summary.config
-        row = config.label.split("@", 1)[0]
-        load = config.arrival_rate
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"moved + failed + shed != requested")
-        goodput = _mean(result.goodput_mb for result in summary.results)
-        p50 = _mean(result.response_percentile(0.50)
-                    for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        urgent_p99 = _mean(_class_p99(result, "0")
-                           for result in summary.results)
-        target = config.controller_target_p99
-        entry = {
-            "policy": row,
-            "load_req_s": load,
-            "goodput_mb": goodput,
-            "p50_s": p50,
-            "p99_s": p99,
-            "urgent_p99_s": urgent_p99,
-            "dropped": _mean(result.dropped_requests
-                             for result in summary.results),
-            "shed": _mean(result.shed_requests
-                          for result in summary.results),
-            "shed_mb": _mean(result.shed_bytes / MEGABYTE
-                             for result in summary.results),
-            "trials": len(summary.results),
-        }
-        if target > 0:
-            entry["slo_target_s"] = target
-            entry["slo_met"] = p99 <= target
-        p99_series.setdefault(row, []).append((load, p99))
-        goodput_series.setdefault(row, []).append((load, goodput))
-        table_rows.append(entry)
-    sample = configs[0]
-    text = (
-        f"Admission control under overload (disk-directed I/O): "
-        f"{sample.arrival} arrivals to {max(loads):g} req/s, "
-        f"{sample.size_distribution} file sizes (mean "
-        f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
-        f"{sample.n_requests} sessions, {sample.priority_levels} priority "
-        f"classes, ~{sample.deadline_slack:g} s deadlines, K={sample.concurrency} "
-        f"static, {sample.n_cps} CPs / {sample.n_iops} IOPs / "
-        f"{sample.n_disks} disks\n\n"
-        + format_table(table_rows,
-                       columns=["policy", "load_req_s", "goodput_mb", "p50_s",
-                                "p99_s", "urgent_p99_s", "dropped", "shed",
-                                "shed_mb", "trials"])
-        + "\n\n99th-percentile response time (s) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-        + "\n\nGoodput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(goodput_series, x_label="load")
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-admission",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-admission --json docs/data/"
-                          "service_admission.json",
-            "config": {
-                "arrival": sample.arrival,
-                "loads": list(loads),
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "size_distribution": sample.size_distribution,
-                "size_alpha": sample.size_alpha,
-                "file_size": sample.file_size,
-                "record_sizes": list(sample.record_sizes),
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "priority_levels": sample.priority_levels,
-                "deadline_slack": sample.deadline_slack,
-                "controller_target_p99": ADMISSION_TARGET_P99,
-                "controller_shed_age": ADMISSION_SHED_AGE,
-                "controller_interval": ADMISSION_CONTROL_INTERVAL,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in table_rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
-
-
-def _class_p99(result, class_key):
-    """p99 of one priority class's response sketch (0.0 when absent)."""
-    from repro.workload.aggregate import QuantileSketch
-
-    data = result.class_sketches.get(class_key)
-    if not data:
-        return 0.0
-    return QuantileSketch.from_dict(data).quantile(0.99)
 
 
 # -- the flash figure ------------------------------------------------------------
@@ -1414,20 +1179,88 @@ def flash_ftl_probe(policies=("greedy", "cost-benefit"),
 def service_flash_configs(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
                           devices=FLASH_DEVICES, **overrides):
     """The ``ddio-flash`` grid: one point per (device, method, load)."""
-    configs = []
-    for device in devices:
-        for load in loads:
-            for method in methods:
-                configs.append(ServiceExperimentConfig(
-                    method=method,
-                    arrival_rate=load,
-                    device=device,
-                    label=f"{device}:{method}@{load:g}",
-                    **overrides,
-                ))
-    return configs
+    points = [dict(method=method, arrival_rate=load, device=device,
+                   label=f"{device}:{method}@{load:g}")
+              for device in devices for load in loads for method in methods]
+    return _grid(points, overrides, method="methods", arrival_rate="loads",
+                 device="devices")
 
 
+def _flash_header(sample, arguments):
+    disk_spec = MachineConfig().disk_spec
+    return (f"Disk-directed I/O vs traditional caching, disk vs flash at equal "
+            f"sequential bandwidth "
+            f"({disk_spec.sustained_transfer_rate / MEGABYTE:.2f} Mbytes/s per "
+            f"device): {sample.arrival} arrivals, {sample.n_requests} mixed "
+            f"collectives over {sample.n_files} files, K={sample.concurrency}, "
+            f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
+            f"drives")
+
+
+def _flash_row(summary):
+    config, results = summary.config, summary.results
+    return {
+        "device": config.device,
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "goodput_mb": _mean(result.goodput_mb for result in results),
+        "p50_s": _percentile(results, 0.50),
+        "p99_s": _percentile(results, 0.99),
+        "trials": len(results),
+    }
+
+
+def _flash_ratios(rows, arguments):
+    """The DDIO advantage per (device, load): the figure's answer."""
+    methods = arguments["methods"]
+    goodput = {(row["device"], row["method"], row["load_req_s"]):
+               row["goodput_mb"] for row in rows}
+    ratios = []
+    for device in arguments["devices"]:
+        for load in arguments["loads"]:
+            ddio = goodput.get((device, methods[0], load))
+            tc = goodput.get((device, methods[1], load))
+            if ddio is None or tc is None:
+                continue
+            ratios.append({
+                "device": device,
+                "load_req_s": load,
+                "ddio_vs_tc": ddio / tc if tc else float("inf"),
+            })
+    return {"ratios": ratios}
+
+
+def _flash_derived(sample, call):
+    disk_spec = MachineConfig().disk_spec
+    ssd_spec = matched_ssd_spec(disk_spec)
+    return {
+        "disk_sequential_mb": round(
+            disk_spec.sustained_transfer_rate / MEGABYTE, 4),
+        "ssd_sequential_mb": round(
+            ssd_spec.sequential_read_rate / MEGABYTE, 4),
+        "ssd_channels": ssd_spec.channels,
+        "ssd_ncq_depth": ssd_spec.ncq_depth,
+    }
+
+
+@service_figure_spec(
+    name="ddio-flash", configs=service_flash_configs, header=_flash_header,
+    row=_flash_row,
+    columns=("device", "method", "load_req_s", "goodput_mb", "p50_s",
+             "p99_s", "trials"),
+    series_name=_stem,
+    series=(("Goodput (Mbytes/s) vs offered load (req/s)", "load",
+             _by_load("goodput_mb")),),
+    tables=(("ratios", "DDIO:TC throughput ratio per device "
+             "(does the advantage survive without seeks?)",
+             ("device", "load_req_s", "ddio_vs_tc")),),
+    extras=_flash_ratios,
+    artifact=("arrival", "loads", "devices", "methods", "n_requests",
+              "concurrency", "file_size", "layout", "n_cps", "n_iops",
+              "n_disks", "disk_sequential_mb", "ssd_sequential_mb",
+              "ssd_channels", "ssd_ncq_depth", "trials", "seed"),
+    derived=_flash_derived,
+    probes=(("ftl_probe", flash_ftl_probe),))
 def service_flash_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
                          devices=FLASH_DEVICES, trials=1, progress=None,
                          workers=None, cache=None, json_path=None,
@@ -1448,121 +1281,6 @@ def service_flash_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
     write amplification per policy (:func:`flash_ftl_probe`) — are written
     as the ``docs/data/service_flash.json`` artifact quoted by
     ``docs/flash.md``.  Returns ``(summaries, text)``; extra keyword
-    arguments override :class:`ServiceExperimentConfig` fields (tests and
-    the CI smoke step shrink the run).
+    arguments override :class:`ServiceExperimentConfig` fields (tests
+    shrink the run).
     """
-    import json as _json
-
-    from repro.disk.flash import matched_ssd_spec
-    from repro.experiments.runner import sweep_parallel
-    from repro.machine import MachineConfig
-
-    configs = service_flash_configs(loads=loads, methods=methods,
-                                    devices=devices, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    table_rows = []
-    throughput_series = {}
-    for summary in summaries:
-        config = summary.config
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"moved + failed + shed != requested")
-        goodput = _mean(result.goodput_mb for result in summary.results)
-        entry = {
-            "device": config.device,
-            "method": config.method,
-            "load_req_s": config.arrival_rate,
-            "goodput_mb": goodput,
-            "p50_s": _mean(result.response_percentile(0.50)
-                           for result in summary.results),
-            "p99_s": _mean(result.response_percentile(0.99)
-                           for result in summary.results),
-            "trials": len(summary.results),
-        }
-        table_rows.append(entry)
-        series = f"{config.device}:{config.method}"
-        throughput_series.setdefault(series, []).append(
-            (config.arrival_rate, goodput))
-
-    # The DDIO advantage per (device, load): the figure's answer.
-    ratio_rows = []
-    by_cell = {(row["device"], row["method"], row["load_req_s"]):
-               row["goodput_mb"] for row in table_rows}
-    for device in devices:
-        for load in loads:
-            ddio = by_cell.get((device, methods[0], load))
-            tc = by_cell.get((device, methods[1], load))
-            if ddio is None or tc is None:
-                continue
-            ratio_rows.append({
-                "device": device,
-                "load_req_s": load,
-                "ddio_vs_tc": ddio / tc if tc else float("inf"),
-            })
-
-    sample = configs[0]
-    disk_spec = MachineConfig().disk_spec
-    ssd_spec = matched_ssd_spec(disk_spec)
-    text = (
-        f"Disk-directed I/O vs traditional caching, disk vs flash at equal "
-        f"sequential bandwidth "
-        f"({disk_spec.sustained_transfer_rate / MEGABYTE:.2f} Mbytes/s per "
-        f"device): {sample.arrival} arrivals, {sample.n_requests} mixed "
-        f"collectives over {sample.n_files} files, K={sample.concurrency}, "
-        f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
-        f"drives\n\n"
-        + format_table(table_rows,
-                       columns=["device", "method", "load_req_s",
-                                "goodput_mb", "p50_s", "p99_s", "trials"])
-        + "\n\nDDIO:TC throughput ratio per device "
-          "(does the advantage survive without seeks?)\n"
-        + format_table(ratio_rows,
-                       columns=["device", "load_req_s", "ddio_vs_tc"])
-        + "\n\nGoodput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-    )
-    if json_path:
-        artifact = {
-            "figure": "ddio-flash",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "ddio-flash --json docs/data/service_flash.json",
-            "config": {
-                "arrival": sample.arrival,
-                "loads": list(loads),
-                "devices": list(devices),
-                "methods": list(methods),
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "file_size": sample.file_size,
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "disk_sequential_mb": round(
-                    disk_spec.sustained_transfer_rate / MEGABYTE, 4),
-                "ssd_sequential_mb": round(
-                    ssd_spec.sequential_read_rate / MEGABYTE, 4),
-                "ssd_channels": ssd_spec.channels,
-                "ssd_ncq_depth": ssd_spec.ncq_depth,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in table_rows],
-            "ratios": [{key: (round(value, 4)
-                              if isinstance(value, float) else value)
-                        for key, value in row.items()}
-                       for row in ratio_rows],
-            "ftl_probe": [{key: (round(value, 4)
-                                 if isinstance(value, float) else value)
-                           for key, value in row.items()}
-                          for row in flash_ftl_probe()],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text

@@ -4,8 +4,9 @@ Each case below runs one ``FIGURES`` entry at a tiny scale and compares the
 full rendered ``text`` — and, for the figures that write one, the JSON
 artifact minus its ``regenerate`` command — against
 ``tests/data/figure_pins.json``.  The faults, admission, flash and rebuild
-cases use the parameters of the old CI figure-smoke steps, so these pins
-also carry those steps' conservation and zero-failed-bytes checks.
+cases run each figure's full grid on a tiny machine, so a hang (under the
+fault watchdog), a byte-conservation break or parity losing data fails
+here in seconds, besides any moved digit.
 
 The pins were generated once and are compared byte for byte: a change to
 the figure pipeline that moves a digit of any table fails here.  To
@@ -26,7 +27,7 @@ PIN_PATH = Path(__file__).resolve().parents[1] / "data" / "figure_pins.json"
 
 KILOBYTE = 1024
 
-#: Tiny machine for the four figures without a CI smoke step.
+#: Tiny machine for the service, scheduler and overload figures.
 TINY = dict(n_cps=2, n_iops=1, n_disks=2, n_requests=4, n_files=2,
             file_size=64 * KILOBYTE, layout="contiguous", seed=7)
 
@@ -42,7 +43,7 @@ CASES = {
                              sweep_requests=40, headline_requests=120,
                              trials=1, n_cps=2, n_iops=2, n_disks=4,
                              n_files=4, concurrency=4),
-    # The four former CI figure-smoke steps, parameter for parameter.
+    # Each figure's full grid on a tiny machine.
     "service-faults": dict(trials=1, n_cps=4, n_iops=4, n_disks=4,
                            n_requests=8, n_files=4, file_size=262144,
                            concurrency=2),
