@@ -115,6 +115,82 @@ class TestPartialPermutation:
         assert all(0 <= perm.get(i) < 300 for i in range(300))
 
 
+class _EagerPermutation:
+    """Reference: the chunk-eager partial Fisher–Yates.
+
+    Each growth applies every swap up to the next multiple of 128 at once.
+    The lazy permutation must return the same value at every index, whatever
+    the order in which indices are asked for.
+    """
+
+    _CHUNK = 128
+
+    def __init__(self, rng, n):
+        self._rng = rng
+        self._n = n
+        self._drawn = []
+        self._displaced = {}
+
+    def get(self, index):
+        if index >= len(self._drawn):
+            self._extend(index + 1)
+        return self._drawn[index]
+
+    def _extend(self, needed):
+        chunk = self._CHUNK
+        n = self._n
+        target = min(-(-needed // chunk) * chunk, n)
+        drawn = self._drawn
+        displaced = self._displaced
+        start = len(drawn)
+        for u in self._rng.random(target - start):
+            i = start
+            j = i + int(u * (n - i))
+            value_i = displaced.pop(i, i)
+            if j == i:
+                drawn.append(value_i)
+            else:
+                drawn.append(displaced.pop(j, j))
+                displaced[j] = value_i
+            start += 1
+
+
+class TestPartialPermutationMatchesEagerReference:
+    @staticmethod
+    def _access_order(n, seed):
+        """Indices in a random order that jumps back and forth over chunk
+        boundaries: every index of a small permutation, and a sample of the
+        first 20,000 of a large one."""
+        order_rng = np.random.default_rng(seed)
+        if n <= 300:
+            return order_rng.permutation(n).tolist()
+        sample = order_rng.choice(20_000, size=600, replace=False).tolist()
+        return sample + [127, 128, 129, 255, 256, 19_999]
+
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300, 2 ** 20])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_same_value_at_every_index(self, n, seed):
+        lazy = _PartialPermutation(
+            np.random.default_rng(np.random.SeedSequence([seed, 3])), n)
+        eager = _EagerPermutation(
+            np.random.default_rng(np.random.SeedSequence([seed, 3])), n)
+        order = self._access_order(n, seed + 1)
+        lazy_values = [lazy.get(index) for index in order]
+        eager_values = [eager.get(index) for index in sorted(order)]
+        assert dict(zip(order, lazy_values)) == \
+            dict(zip(sorted(order), eager_values))
+
+    def test_layout_matches_reference_on_every_disk(self):
+        layout = RandomBlocksLayout(HP97560_SPEC, BLOCK, seed=9)
+        for disk in range(3):
+            eager = _EagerPermutation(
+                np.random.default_rng(np.random.SeedSequence([9, disk])),
+                layout.blocks_per_disk)
+            order = self._access_order(layout.blocks_per_disk, disk)[:200]
+            assert [layout.lbn_of(disk, index) for index in order] == \
+                [eager.get(index) * SECTORS_PER_BLOCK for index in order]
+
+
 class TestRandomBlocksLayoutDeterminism:
     """Placement determinism guarantees across access patterns and instances."""
 
