@@ -67,56 +67,57 @@ class ContiguousLayout(PhysicalLayout):
 class _PartialPermutation:
     """Lazily materialised prefix of a uniform random permutation of ``range(n)``.
 
-    Classic Fisher–Yates, drawn only as far as requested: ``get(i)`` is the
+    Classic Fisher–Yates, applied only as far as requested: ``get(i)`` is the
     i-th entry of the permutation, and extending the prefix never changes
-    entries already drawn.  Draws happen in fixed-size chunks whose boundaries
-    are multiples of ``_CHUNK``, so the underlying random stream is consumed
-    identically no matter in what order or how far the prefix is grown — the
-    value at index *i* is a pure function of (rng seed, i).
+    entries already drawn.  Step *i* always consumes the *i*-th uniform of
+    the generator's stream, so the value at index *i* is a pure function of
+    (rng seed, i) no matter in what order or how far the prefix is grown.
 
-    A full-disk permutation (what ``numpy.random.Generator.permutation``
-    materialises) costs O(disk size); a file only ever touches a tiny prefix,
-    so this is O(blocks actually placed).
+    Uniforms are drawn ``_CHUNK`` at a time and held as the float64 array
+    numpy returned plus a cursor, but a swap is applied only when its index
+    is asked for: placing *k* blocks costs *k* steps, and a full-disk
+    permutation (what ``numpy.random.Generator.permutation`` materialises)
+    is never built.
     """
 
-    #: Entries drawn per batch; boundaries are always multiples of this, which
-    #: is what makes the prefix independent of the access pattern.
+    #: Uniforms drawn per batch; at most one batch is buffered at a time.
     _CHUNK = 128
 
-    __slots__ = ("_rng", "_n", "_drawn", "_displaced")
+    __slots__ = ("_rng", "_n", "_drawn", "_displaced", "_chunk", "_cursor")
 
     def __init__(self, rng, n):
         self._rng = rng
         self._n = n
         self._drawn = []       # permutation prefix materialised so far
         self._displaced = {}   # sparse tail: position -> value swapped into it
+        self._chunk = None     # uniforms of the current batch
+        self._cursor = 0       # next unused uniform in ``_chunk``
 
     def get(self, index):
         drawn = self._drawn
-        if index >= len(drawn):
-            self._extend(index + 1)
-            drawn = self._drawn
-        return drawn[index]
-
-    def _extend(self, needed):
-        chunk = self._CHUNK
+        if index < len(drawn):
+            return drawn[index]
         n = self._n
-        target = min(-(-needed // chunk) * chunk, n)
-        drawn = self._drawn
         displaced = self._displaced
-        start = len(drawn)
-        # One uniform double per entry; j = i + floor(u * (n - i)) is the
+        chunk = self._chunk
+        cursor = self._cursor
+        # One uniform double per step; j = i + floor(u * (n - i)) is the
         # Fisher-Yates partner drawn from [i, n).  u < 1 guarantees j < n.
-        for u in self._rng.random(target - start):
-            i = start
-            j = i + int(u * (n - i))
+        for i in range(len(drawn), index + 1):
+            if chunk is None or cursor == len(chunk):
+                chunk = self._rng.random(min(self._CHUNK, n - i))
+                cursor = 0
+            j = i + int(chunk[cursor] * (n - i))
+            cursor += 1
             value_i = displaced.pop(i, i)
             if j == i:
                 drawn.append(value_i)
             else:
                 drawn.append(displaced.pop(j, j))
                 displaced[j] = value_i
-            start += 1
+        self._chunk = chunk
+        self._cursor = cursor
+        return drawn[index]
 
 
 class RandomBlocksLayout(PhysicalLayout):
@@ -125,17 +126,16 @@ class RandomBlocksLayout(PhysicalLayout):
     Each disk gets its own permutation, derived deterministically from the
     layout seed and the disk index so experiments are reproducible and every
     disk's placement is independent.  The permutation is drawn lazily (partial
-    Fisher–Yates): only the prefix a file actually touches is materialised,
+    Fisher–Yates): only the blocks a file actually places are materialised,
     and growing the prefix never changes already-placed blocks.
     """
 
     name = "random"
 
-    def __init__(self, spec, block_size, seed=0, blocks_per_disk_needed=None):
+    def __init__(self, spec, block_size, seed=0):
         super().__init__(spec, block_size)
         self.seed = seed
         self._placements = {}
-        self._blocks_hint = blocks_per_disk_needed
 
     def _placement_for(self, disk_index):
         placement = self._placements.get(disk_index)

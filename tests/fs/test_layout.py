@@ -216,7 +216,52 @@ class TestRandomBlocksLayoutDeterminism:
         layout = RandomBlocksLayout(HP97560_SPEC, BLOCK, seed=2)
         layout.lbn_of(0, 5)
         placement = layout._placement_for(0)
-        assert len(placement._drawn) < layout.blocks_per_disk // 100
+        assert len(placement._drawn) == 6
+
+
+class _CountingRng:
+    """Wraps a generator and records the uniforms drawn from it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+class TestPlacementWork:
+    """Work guard: placing k blocks costs k swap steps, not a whole chunk."""
+
+    @pytest.mark.parametrize("k", [1, 6, 127, 128, 129, 300])
+    def test_k_blocks_apply_k_steps(self, k):
+        rng = _CountingRng(np.random.default_rng(5))
+        perm = _PartialPermutation(rng, 10_000)
+        for index in range(k):
+            perm.get(index)
+        assert len(perm._drawn) == k
+        assert len(perm._displaced) <= k
+        assert perm._chunk.size <= _PartialPermutation._CHUNK
+        # Uniforms come a whole chunk at a time, one chunk per 128 steps.
+        assert rng.sizes == [128] * -(-k // 128)
+
+    def test_deep_index_draws_only_its_steps(self):
+        rng = _CountingRng(np.random.default_rng(5))
+        perm = _PartialPermutation(rng, 1000)
+        perm.get(999)
+        assert len(perm._drawn) == 1000
+        assert rng.sizes == [128] * 7 + [104]  # the last chunk ends at n
+        assert not perm._displaced
+
+    def test_layout_places_blocks_per_disk_on_demand(self):
+        layout = RandomBlocksLayout(HP97560_SPEC, BLOCK, seed=4)
+        for index in range(3):
+            layout.lbn_of(1, index)
+        placement = layout._placement_for(1)
+        assert len(placement._drawn) == 3
+        assert placement._chunk.size == _PartialPermutation._CHUNK
+        assert list(layout._placements) == [1]
 
 
 class TestFactory:
