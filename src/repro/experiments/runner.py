@@ -89,7 +89,12 @@ from repro.patterns import make_pattern
 #:     them, so a served request is no longer a reference cycle.  No
 #:     simulated result moved (the digest matrix pins this); entries are
 #:     re-stamped because the model sources changed.
-CACHE_SCHEMA_VERSION = 12
+#: v13: random-blocks placement applies Fisher-Yates steps per placed block,
+#:     and request generators are positioned from chunk-derived PCG64
+#:     states instead of built per request.  No simulated result moved (the
+#:     digest matrix pins this); entries are re-stamped because the model
+#:     sources changed.
+CACHE_SCHEMA_VERSION = 13
 
 
 # -- experiment families --------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.workload.arrival import (
     ArrivalProcess,
     ClosedLoopArrivals,
     PoissonArrivals,
+    RequestStreams,
     make_arrival,
     request_rng,
     session_qos,
@@ -89,6 +90,7 @@ __all__ = [
     "PoissonArrivals",
     "PriorityPolicy",
     "QuantileSketch",
+    "RequestStreams",
     "RunCheckpoint",
     "RunningStats",
     "SHED",

@@ -15,7 +15,9 @@ Determinism: every random draw for request *i* of a trial comes from
 :func:`request_rng`, a generator derived purely from ``(trial_seed, i)``.
 Nothing depends on the order requests are planned, admitted or completed, so
 serial and parallel sweeps (and any interleaving of concurrent collectives)
-see bit-identical workloads.
+see bit-identical workloads.  The hot paths draw through
+:class:`RequestStreams`, which hands out generators in exactly
+:func:`request_rng`'s starting state without building one per request.
 """
 
 import numpy as np
@@ -48,8 +50,150 @@ def request_rng(trial_seed, request_index, purpose=PURPOSE_PLAN):
         [REQUEST_STREAM_TAG, trial_seed, request_index, purpose]))
 
 
+_MASK32 = 0xFFFF_FFFF
+_U32 = np.uint32
+
+
+def _hash_constants(init, multiplier, count):
+    """The running hash constant of numpy's ``SeedSequence``, as a column."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * multiplier & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence constants (``numpy/random/bit_generator.pyx``): the
+# hash that mixes entropy into the pool, the mix of two pool words, and the
+# hash that expands the pool into output words.
+_MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_MIX_MULT_L = _U32(0xCA01F9DD)
+_MIX_MULT_R = _U32(0x4973F715)
+_OUTPUT_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+#: PCG64's 128-bit LCG multiplier as little-endian 32-bit limbs (column).
+_PCG64_MULTIPLIER = np.array(
+    [0x2360ED051FC65DA44385DF649FCCF645 >> shift & _MASK32
+     for shift in (0, 32, 64, 96)], dtype=np.uint64)[:, None]
+
+
+def _hash(values, hash_in, hash_out):
+    """SeedSequence's ``hashmix`` (one row of *values* per constant pair)."""
+    values = (values ^ hash_in) * hash_out
+    return values ^ (values >> _U32(16))
+
+
+def _carry(columns):
+    """Column sums to 32-bit limbs, modulo 2**128 (the top carry is dropped)."""
+    for limb in range(3):
+        columns[limb + 1] += columns[limb] >> 32
+        columns[limb] &= _MASK32
+    columns[3] &= _MASK32
+    return columns
+
+
+def request_states(trial_seed, first_index, count, purpose=PURPOSE_PLAN):
+    """PCG64 states of :func:`request_rng` for *count* consecutive indices.
+
+    Row *k* is ``(state_hi, state_lo, inc_hi, inc_lo)`` (uint64) of the
+    generator ``request_rng(trial_seed, first_index + k, purpose)`` starts
+    in.  It reproduces ``SeedSequence`` entropy mixing and PCG64 seeding in
+    numpy arithmetic over all indices at once, which only holds while the
+    seed and every index fit one 32-bit word (each is then one entropy
+    word); callers fall back to :func:`request_rng` otherwise.
+    """
+    pool = np.empty((4, count), dtype=np.uint32)
+    pool[0] = REQUEST_STREAM_TAG
+    pool[1] = trial_seed
+    pool[2] = np.arange(first_index, first_index + count, dtype=np.uint32)
+    pool[3] = purpose
+    # SeedSequence.mix_entropy: hash each word into the pool, then mix every
+    # pool word into every other one; the hash constant advances per call.
+    mix = _MIX_CONSTANTS
+    pool = _hash(pool, mix[0:4], mix[1:5])
+    call = 4
+    for source in range(4):
+        targets = [target for target in range(4) if target != source]
+        hashed = _hash(pool[source], mix[call:call + 3],
+                       mix[call + 1:call + 4])
+        call += 3
+        mixed = _MIX_MULT_L * pool[targets] - _MIX_MULT_R * hashed
+        pool[targets] = mixed ^ (mixed >> _U32(16))
+    # SeedSequence.generate_state(4, uint64): eight words cycled from the
+    # pool, paired little-endian into (seed_hi, seed_lo, inc_hi, inc_lo).
+    out = _OUTPUT_CONSTANTS
+    words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], out[:8], out[1:9]) \
+        .astype(np.uint64)
+    seed = words[[2, 3, 0, 1]]       # 128-bit values as little-endian limbs
+    sequence = words[[6, 7, 4, 5]]
+    # PCG64 seeding: inc = sequence << 1 | 1, then two LCG steps from state
+    # 0 with the seed added in between: state = (inc + seed) * M + inc.
+    inc = (sequence << 1) & _MASK32
+    inc[1:] |= sequence[:-1] >> 31
+    inc[0] |= 1
+    start = _carry(inc + seed)
+    state = inc.copy()
+    for limb in range(4):
+        product = start[limb] * _PCG64_MULTIPLIER[:4 - limb]
+        state[limb:] += product & _MASK32
+        state[limb + 1:] += (product >> 32)[:3 - limb]
+    limbs = np.concatenate([_carry(state), inc])
+    return (limbs[[3, 1, 7, 5]] << 32 | limbs[[2, 0, 6, 4]]).T
+
+
+#: Request indices whose generator states :class:`RequestStreams` derives
+#: together (aligned to multiples of this).
+_STATE_CHUNK = 128
+
+
+class RequestStreams:
+    """:func:`request_rng` for one run's requests, positioned, not built.
+
+    ``rng(trial_seed, i, purpose)`` returns a generator in exactly the state
+    ``request_rng(trial_seed, i, purpose)`` starts in.  It is one reused
+    generator per purpose, positioned through ``bit_generator.state`` from
+    the states of the aligned chunk of 128 indices holding *i*, derived at
+    once by :func:`request_states`; so the returned generator is valid only
+    until the next call for the same purpose.  An index behind the cached
+    chunk (a closed-loop client overtaken near a chunk boundary), and any
+    seed or index wider than one 32-bit word, falls back to
+    :func:`request_rng` itself.
+    """
+
+    __slots__ = ("_cached",)
+
+    def __init__(self):
+        #: purpose -> [generator, trial_seed, first index, states]
+        self._cached = {}
+
+    def rng(self, trial_seed, request_index, purpose=PURPOSE_PLAN):
+        cached = self._cached.get(purpose)
+        if cached is None or cached[1] != trial_seed \
+                or not 0 <= request_index - cached[2] < _STATE_CHUNK:
+            first = request_index - request_index % _STATE_CHUNK
+            if not (0 <= trial_seed <= _MASK32
+                    and 0 <= request_index <= _MASK32) \
+                    or (cached is not None and cached[1] == trial_seed
+                        and first < cached[2]):
+                return request_rng(trial_seed, request_index, purpose)
+            generator = np.random.Generator(np.random.PCG64(0)) \
+                if cached is None else cached[0]
+            cached = [generator, trial_seed, first,
+                      request_states(trial_seed, first, _STATE_CHUNK, purpose)]
+            self._cached[purpose] = cached
+        generator, _seed, first, states = cached
+        state_hi, state_lo, inc_hi, inc_lo = \
+            states[request_index - first].tolist()
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo,
+                      "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return generator
+
+
 def session_qos(trial_seed, request_index, priority_levels=1,
-                deadline_slack=0.0):
+                deadline_slack=0.0, streams=None):
     """The QoS stamp of request *request_index*: ``(priority, slack)``.
 
     *priority* is a static class in ``[0, priority_levels)`` (0 most urgent),
@@ -63,7 +207,8 @@ def session_qos(trial_seed, request_index, priority_levels=1,
     and independent of the arrival and plan streams, so stamping QoS never
     perturbs interarrival gaps or request plans.  The default stamp
     (one class, no deadline) makes **no** draws at all: workloads that do not
-    opt in are bit-identical to pre-admission builds.
+    opt in are bit-identical to pre-admission builds.  A run passes its
+    :class:`RequestStreams` as *streams* so the draw builds no generator.
     """
     if priority_levels < 1:
         raise ValueError(
@@ -74,7 +219,9 @@ def session_qos(trial_seed, request_index, priority_levels=1,
     priority = 0
     slack = None
     if priority_levels > 1 or deadline_slack > 0:
-        rng = request_rng(trial_seed, request_index, purpose=PURPOSE_QOS)
+        rng = request_rng(trial_seed, request_index, PURPOSE_QOS) \
+            if streams is None \
+            else streams.rng(trial_seed, request_index, PURPOSE_QOS)
         if priority_levels > 1:
             priority = int(rng.integers(priority_levels))
         if deadline_slack > 0:
@@ -105,10 +252,11 @@ class PoissonArrivals(ArrivalProcess):
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate}")
         self.rate = rate
+        self._streams = RequestStreams()
 
     def interarrival(self, trial_seed, request_index):
         """Gap between request *request_index - 1* and *request_index*."""
-        rng = request_rng(trial_seed, request_index, purpose=PURPOSE_ARRIVAL)
+        rng = self._streams.rng(trial_seed, request_index, PURPOSE_ARRIVAL)
         draw = rng.exponential(1.0 / self.rate)
         return max(float(draw), _EXPONENTIAL_FLOOR)
 
@@ -142,6 +290,7 @@ class ClosedLoopArrivals(ArrivalProcess):
             raise ValueError(f"think time must be >= 0, got {think_time}")
         self.think_time = think_time
         self.exponential_think = exponential_think
+        self._streams = RequestStreams()
 
     def think_time_for(self, trial_seed, request_index):
         """Pause before request *request_index* is issued by its client."""
@@ -149,7 +298,7 @@ class ClosedLoopArrivals(ArrivalProcess):
             return 0.0
         if not self.exponential_think:
             return self.think_time
-        rng = request_rng(trial_seed, request_index, purpose=PURPOSE_ARRIVAL)
+        rng = self._streams.rng(trial_seed, request_index, PURPOSE_ARRIVAL)
         draw = rng.exponential(self.think_time)
         return max(float(draw), _EXPONENTIAL_FLOOR)
 

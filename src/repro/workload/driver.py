@@ -74,7 +74,7 @@ from repro.workload.admission import (
     make_admission_policy,
 )
 from repro.workload.aggregate import QuantileSketch
-from repro.workload.arrival import make_arrival, request_rng, session_qos
+from repro.workload.arrival import RequestStreams, make_arrival, session_qos
 from repro.workload.checkpoint import (
     CheckpointError,
     IndexRanges,
@@ -524,6 +524,7 @@ class ServiceDriver:
         if isinstance(resume_from, (str, os.PathLike)):
             resume_from = RunCheckpoint.load(resume_from)
         self._resume = resume_from
+        self._streams = RequestStreams()
         self.admission_policy = make_admission_policy(admission_policy)
         self._legacy = legacy_admission
         if isinstance(controller, dict):
@@ -588,11 +589,12 @@ class ServiceDriver:
     def plan_request(self, trial_seed, index):
         """The (deterministic) shape of request *index*: file, pattern, mode.
 
-        Every draw comes from ``request_rng(trial_seed, index)``, so the plan
-        is a pure function of (seed, index) — independent of arrival order,
-        admission order and completion order.
+        Every draw comes from ``request_rng(trial_seed, index)`` (positioned
+        by the driver's :class:`~repro.workload.arrival.RequestStreams`), so
+        the plan is a pure function of (seed, index) — independent of
+        arrival order, admission order and completion order.
         """
-        rng = request_rng(trial_seed, index)
+        rng = self._streams.rng(trial_seed, index)
         if self.workload.file_assignment == "round-robin":
             file_choice = index % len(self.files)
             rng.integers(len(self.files))  # keep the draw count identical
@@ -978,7 +980,8 @@ class ServiceDriver:
         else:
             priority, slack = session_qos(trial_seed, index,
                                           self.workload.priority_levels,
-                                          self.workload.deadline_slack)
+                                          self.workload.deadline_slack,
+                                          streams=self._streams)
             slot = self.admission.request(AdmissionTicket(
                 index=index,
                 arrival_time=arrival_time,

@@ -1,12 +1,20 @@
 """Tests for arrival processes: determinism, per-(seed, index) derivation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workload.arrival import (
+    PURPOSE_ARRIVAL,
+    PURPOSE_PLAN,
+    PURPOSE_QOS,
     ClosedLoopArrivals,
     PoissonArrivals,
+    RequestStreams,
     make_arrival,
     request_rng,
+    request_states,
+    session_qos,
 )
 
 
@@ -117,3 +125,58 @@ class TestFactory:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_arrival("bursty")
+
+
+class TestRequestStreams:
+    """The chunk-derived request streams are :func:`request_rng`, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trial_seed=st.integers(0, 2 ** 32 - 1),
+           index=st.integers(0, 2 ** 32 + 7),
+           purpose=st.sampled_from([PURPOSE_ARRIVAL, PURPOSE_PLAN,
+                                    PURPOSE_QOS]))
+    def test_state_and_draws_match_request_rng(self, trial_seed, index,
+                                               purpose):
+        reference = request_rng(trial_seed, index, purpose)
+        expected = reference.bit_generator.state
+        if index < 2 ** 32:
+            state_hi, state_lo, inc_hi, inc_lo = \
+                request_states(trial_seed, index, 1, purpose)[0].tolist()
+            assert expected["state"] == {"state": state_hi << 64 | state_lo,
+                                         "inc": inc_hi << 64 | inc_lo}
+        derived = RequestStreams().rng(trial_seed, index, purpose)
+        assert derived.bit_generator.state == expected
+        assert derived.exponential(0.02) == reference.exponential(0.02)
+        assert derived.integers(7) == reference.integers(7)
+        assert derived.random() == reference.random()
+
+    def test_reused_generator_matches_any_access_order(self):
+        streams = RequestStreams()
+        # Forward, backward over a chunk boundary, far jumps, a new seed and
+        # a draw that leaves a buffered 32-bit half behind each time.
+        for trial_seed, index in [(4, 0), (4, 1), (4, 127), (4, 128),
+                                  (4, 126), (4, 129), (4, 5000), (4, 3),
+                                  (9, 3), (9, 2 ** 32 - 1), (9, 2 ** 32)]:
+            for purpose in (PURPOSE_PLAN, PURPOSE_ARRIVAL):
+                derived = streams.rng(trial_seed, index, purpose)
+                reference = request_rng(trial_seed, index, purpose)
+                assert derived.integers(9, dtype=np.uint8) == \
+                    reference.integers(9, dtype=np.uint8)
+                assert derived.random() == reference.random()
+
+    def test_chunk_states_are_one_state_per_index(self):
+        states = request_states(11, 256, 128, PURPOSE_QOS)
+        assert states.shape == (128, 4)
+        assert states.dtype == np.uint64
+        for offset in (0, 77, 127):
+            state = request_rng(11, 256 + offset, PURPOSE_QOS) \
+                .bit_generator.state["state"]
+            assert states[offset].tolist() == [
+                state["state"] >> 64, state["state"] & (2 ** 64 - 1),
+                state["inc"] >> 64, state["inc"] & (2 ** 64 - 1)]
+
+    def test_session_qos_is_the_same_with_streams(self):
+        streams = RequestStreams()
+        for index in range(0, 300, 7):
+            assert session_qos(5, index, 4, 0.5, streams=streams) == \
+                session_qos(5, index, 4, 0.5)

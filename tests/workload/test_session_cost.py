@@ -9,9 +9,11 @@ pattern memo that lets sessions of the same shape share one plan, and the
 collection that frees an earlier run's machine.
 """
 
+import dataclasses
 import inspect
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core import make_filesystem
@@ -224,3 +226,31 @@ class TestFreeFinishedMachine:
         assert driver_module._last_run[0]() is None
         build_service_machine(one_block_stream(), machine_config=MACHINE)
         assert len(collections) == 1    # only the caller's own collection
+
+
+class TestRequestStreamCost:
+    """The request path builds no generator per session."""
+
+    @staticmethod
+    def seed_sequences_built(monkeypatch, n_requests):
+        built = []
+        original = np.random.SeedSequence
+
+        class CountingSeedSequence(original):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        workload = dataclasses.replace(one_block_stream(),
+                                       n_requests=n_requests)
+        machine, implementation, files = build_service_machine(
+            workload, machine_config=MACHINE, seed=3, method="disk-directed")
+        result = ServiceDriver(machine, implementation, files, workload,
+                               retain_requests=False).run()
+        assert result.aggregates["completed"] == n_requests
+        return len(built)
+
+    def test_seed_sequences_do_not_grow_with_the_stream(self, monkeypatch):
+        assert self.seed_sequences_built(monkeypatch, 100) == \
+            self.seed_sequences_built(monkeypatch, 500)
