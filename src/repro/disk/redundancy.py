@@ -73,6 +73,15 @@ def _synthetic(op, lbn, n_sectors, tag, session_id, status="ok", error=None):
     return request
 
 
+def check_parity_width(n_disks):
+    """Raise ``ValueError`` unless *n_disks* drives can hold a parity array."""
+    if n_disks < 3:
+        raise ValueError(
+            "parity needs at least 3 drives "
+            f"(got {n_disks}): one parity column per row "
+            "plus at least two data columns")
+
+
 class ParityArray:
     """Shared state of one machine's declustered parity array.
 
@@ -84,11 +93,7 @@ class ParityArray:
     """
 
     def __init__(self, machine, rebuild_bandwidth=0.0):
-        if machine.config.n_disks < 3:
-            raise ValueError(
-                "parity needs at least 3 drives "
-                f"(got {machine.config.n_disks}): one parity column per row "
-                "plus at least two data columns")
+        check_parity_width(machine.config.n_disks)
         self.machine = machine
         self.env = machine.env
         self.n_disks = machine.config.n_disks

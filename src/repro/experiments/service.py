@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.disk.faults import FaultConfig
 from repro.disk.flash import matched_ssd_spec
+from repro.disk.redundancy import check_parity_width
 from repro.experiments.config import MEGABYTE
 from repro.experiments.pipeline import service_figure_spec
 from repro.experiments.runner import register_experiment_family
@@ -152,6 +153,11 @@ class ServiceExperimentConfig:
     controller_shed_age: float = 0.0
     seed: int = 0
     label: str = ""
+
+    def __post_init__(self):
+        # Fail at construction, not inside the run that builds the array.
+        if self.redundancy == "parity":
+            check_parity_width(self.n_disks)
 
     @property
     def pattern(self):

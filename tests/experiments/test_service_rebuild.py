@@ -49,6 +49,12 @@ class TestConfigPlumbing:
             keys.add(trial_cache_key(tiny_config(**overrides), 7))
         assert len(keys) == 6
 
+    def test_too_narrow_parity_array_fails_at_construction(self):
+        with pytest.raises(ValueError, match="parity needs at least 3 drives"):
+            tiny_config(redundancy="parity", n_disks=2)
+        tiny_config(n_disks=2)              # no parity: two drives are fine
+        tiny_config(redundancy="parity", n_disks=3)
+
     def test_silent_fields_build_a_fault_config(self):
         config = tiny_config(fault_silent_ranges=2,
                              fault_silent_range_sectors=128)
