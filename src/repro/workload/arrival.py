@@ -142,6 +142,7 @@ def request_states(trial_seed, first_index, count, purpose=PURPOSE_PLAN):
 #: Request indices whose generator states :class:`RequestStreams` derives
 #: together (aligned to multiples of this).
 _STATE_CHUNK = 128
+_NO_CHUNK = (None, None, 0, None)
 
 
 class RequestStreams:
@@ -161,25 +162,22 @@ class RequestStreams:
     __slots__ = ("_cached",)
 
     def __init__(self):
-        #: purpose -> [generator, trial_seed, first index, states]
+        #: purpose -> (generator, trial seed, first index, states)
         self._cached = {}
 
     def rng(self, trial_seed, request_index, purpose=PURPOSE_PLAN):
-        cached = self._cached.get(purpose)
-        if cached is None or cached[1] != trial_seed \
-                or not 0 <= request_index - cached[2] < _STATE_CHUNK:
-            first = request_index - request_index % _STATE_CHUNK
+        generator, seed, first, states = self._cached.get(purpose, _NO_CHUNK)
+        if seed != trial_seed \
+                or not first <= request_index < first + _STATE_CHUNK:
             if not (0 <= trial_seed <= _MASK32
                     and 0 <= request_index <= _MASK32) \
-                    or (cached is not None and cached[1] == trial_seed
-                        and first < cached[2]):
+                    or (seed == trial_seed and request_index < first):
                 return request_rng(trial_seed, request_index, purpose)
-            generator = np.random.Generator(np.random.PCG64(0)) \
-                if cached is None else cached[0]
-            cached = [generator, trial_seed, first,
-                      request_states(trial_seed, first, _STATE_CHUNK, purpose)]
-            self._cached[purpose] = cached
-        generator, _seed, first, states = cached
+            if generator is None:
+                generator = np.random.Generator(np.random.PCG64(0))
+            first = request_index - request_index % _STATE_CHUNK
+            states = request_states(trial_seed, first, _STATE_CHUNK, purpose)
+            self._cached[purpose] = (generator, trial_seed, first, states)
         state_hi, state_lo, inc_hi, inc_lo = \
             states[request_index - first].tolist()
         generator.bit_generator.state = {
@@ -208,7 +206,8 @@ def session_qos(trial_seed, request_index, priority_levels=1,
     perturbs interarrival gaps or request plans.  The default stamp
     (one class, no deadline) makes **no** draws at all: workloads that do not
     opt in are bit-identical to pre-admission builds.  A run passes its
-    :class:`RequestStreams` as *streams* so the draw builds no generator.
+    :class:`RequestStreams` as *streams*, so the draws reuse its cached
+    generator states.
     """
     if priority_levels < 1:
         raise ValueError(
@@ -219,9 +218,9 @@ def session_qos(trial_seed, request_index, priority_levels=1,
     priority = 0
     slack = None
     if priority_levels > 1 or deadline_slack > 0:
-        rng = request_rng(trial_seed, request_index, PURPOSE_QOS) \
-            if streams is None \
-            else streams.rng(trial_seed, request_index, PURPOSE_QOS)
+        if streams is None:
+            streams = RequestStreams()
+        rng = streams.rng(trial_seed, request_index, PURPOSE_QOS)
         if priority_levels > 1:
             priority = int(rng.integers(priority_levels))
         if deadline_slack > 0:

@@ -175,8 +175,11 @@ class TestRequestStreams:
                 state["state"] >> 64, state["state"] & (2 ** 64 - 1),
                 state["inc"] >> 64, state["inc"] & (2 ** 64 - 1)]
 
-    def test_session_qos_is_the_same_with_streams(self):
+    def test_session_qos_draws_from_the_qos_stream(self):
         streams = RequestStreams()
         for index in range(0, 300, 7):
-            assert session_qos(5, index, 4, 0.5, streams=streams) == \
-                session_qos(5, index, 4, 0.5)
+            reference = request_rng(5, index, PURPOSE_QOS)
+            expected = (int(reference.integers(4)),
+                        float(0.5 * reference.uniform(0.5, 1.5)))
+            assert session_qos(5, index, 4, 0.5, streams=streams) == expected
+            assert session_qos(5, index, 4, 0.5) == expected
