@@ -69,10 +69,9 @@ _MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _MIX_MULT_L = _U32(0xCA01F9DD)
 _MIX_MULT_R = _U32(0x4973F715)
 _OUTPUT_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-#: PCG64's 128-bit LCG multiplier as little-endian 32-bit limbs (column).
-_PCG64_MULTIPLIER = np.array(
-    [0x2360ED051FC65DA44385DF649FCCF645 >> shift & _MASK32
-     for shift in (0, 32, 64, 96)], dtype=np.uint64)[:, None]
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2 ** 64 - 1
+_MASK128 = 2 ** 128 - 1
 
 
 def _hash(values, hash_in, hash_out):
@@ -81,24 +80,16 @@ def _hash(values, hash_in, hash_out):
     return values ^ (values >> _U32(16))
 
 
-def _carry(columns):
-    """Column sums to 32-bit limbs, modulo 2**128 (the top carry is dropped)."""
-    for limb in range(3):
-        columns[limb + 1] += columns[limb] >> 32
-        columns[limb] &= _MASK32
-    columns[3] &= _MASK32
-    return columns
-
-
 def request_states(trial_seed, first_index, count, purpose=PURPOSE_PLAN):
     """PCG64 states of :func:`request_rng` for *count* consecutive indices.
 
     Row *k* is ``(state_hi, state_lo, inc_hi, inc_lo)`` (uint64) of the
     generator ``request_rng(trial_seed, first_index + k, purpose)`` starts
-    in.  It reproduces ``SeedSequence`` entropy mixing and PCG64 seeding in
-    numpy arithmetic over all indices at once, which only holds while the
-    seed and every index fit one 32-bit word (each is then one entropy
-    word); callers fall back to :func:`request_rng` otherwise.
+    in.  It reproduces ``SeedSequence`` entropy mixing in numpy uint32
+    arithmetic over all indices at once, then PCG64's seeding per index.
+    That only holds while the seed and every index fit one 32-bit word
+    (each is then one entropy word); callers fall back to
+    :func:`request_rng` otherwise.
     """
     pool = np.empty((4, count), dtype=np.uint32)
     pool[0] = REQUEST_STREAM_TAG
@@ -122,26 +113,23 @@ def request_states(trial_seed, first_index, count, purpose=PURPOSE_PLAN):
     out = _OUTPUT_CONSTANTS
     words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], out[:8], out[1:9]) \
         .astype(np.uint64)
-    seed = words[[2, 3, 0, 1]]       # 128-bit values as little-endian limbs
-    sequence = words[[6, 7, 4, 5]]
-    # PCG64 seeding: inc = sequence << 1 | 1, then two LCG steps from state
-    # 0 with the seed added in between: state = (inc + seed) * M + inc.
-    inc = (sequence << 1) & _MASK32
-    inc[1:] |= sequence[:-1] >> 31
-    inc[0] |= 1
-    start = _carry(inc + seed)
-    state = inc.copy()
-    for limb in range(4):
-        product = start[limb] * _PCG64_MULTIPLIER[:4 - limb]
-        state[limb:] += product & _MASK32
-        state[limb + 1:] += (product >> 32)[:3 - limb]
-    limbs = np.concatenate([_carry(state), inc])
-    return (limbs[[3, 1, 7, 5]] << 32 | limbs[[2, 0, 6, 4]]).T
+    seeds = words[0::2] | words[1::2] << 32
+    # PCG64 seeding (128-bit, so in Python integers): inc = seed_inc << 1 | 1,
+    # then two LCG steps from state 0 with the seed added in between.
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in seeds.T.tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULTIPLIER
+                 + inc) & _MASK128
+        states.append((state >> 64, state & _MASK64, inc >> 64, inc & _MASK64))
+    return np.array(states, dtype=np.uint64)
 
 
 #: Request indices whose generator states :class:`RequestStreams` derives
-#: together (aligned to multiples of this).
-_STATE_CHUNK = 128
+#: together (aligned to multiples of this).  Deriving costs ~0.1 ms a chunk
+#: however small; a larger chunk also holds more states and temporaries,
+#: which shows in the peak memory of short streams.
+_STATE_CHUNK = 32
 _NO_CHUNK = (None, None, 0, None)
 
 
@@ -151,7 +139,7 @@ class RequestStreams:
     ``rng(trial_seed, i, purpose)`` returns a generator in exactly the state
     ``request_rng(trial_seed, i, purpose)`` starts in.  It is one reused
     generator per purpose, positioned through ``bit_generator.state`` from
-    the states of the aligned chunk of 128 indices holding *i*, derived at
+    the states of the aligned chunk of 32 indices holding *i*, derived at
     once by :func:`request_states`; so the returned generator is valid only
     until the next call for the same purpose.  An index behind the cached
     chunk (a closed-loop client overtaken near a chunk boundary), and any
