@@ -90,8 +90,8 @@ class _PartialPermutation:
         self._n = n
         self._drawn = []       # permutation prefix materialised so far
         self._displaced = {}   # sparse tail: position -> value swapped into it
-        self._chunk = None     # uniforms of the current batch
-        self._cursor = 0       # next unused uniform in ``_chunk``
+        self._chunk = None          # uniforms of the current batch
+        self._cursor = self._CHUNK  # next unused uniform in ``_chunk``
 
     def get(self, index):
         drawn = self._drawn
@@ -103,8 +103,10 @@ class _PartialPermutation:
         cursor = self._cursor
         # One uniform double per step; j = i + floor(u * (n - i)) is the
         # Fisher-Yates partner drawn from [i, n).  u < 1 guarantees j < n.
+        # Batches start at multiples of _CHUNK and only the last is short,
+        # and no step runs past it, so a full cursor means "draw the next".
         for i in range(len(drawn), index + 1):
-            if chunk is None or cursor == len(chunk):
+            if cursor == self._CHUNK:
                 chunk = self._rng.random(min(self._CHUNK, n - i))
                 cursor = 0
             j = i + int(chunk[cursor] * (n - i))

@@ -228,20 +228,25 @@ class TestFreeFinishedMachine:
         assert len(collections) == 1    # only the caller's own collection
 
 
+@pytest.fixture
+def seed_sequences(monkeypatch):
+    """Records every ``np.random.SeedSequence`` constructed."""
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    return built
+
+
 class TestRequestStreamCost:
     """The request path builds no generator per session."""
 
     @staticmethod
-    def seed_sequences_built(monkeypatch, n_requests):
-        built = []
-        original = np.random.SeedSequence
-
-        class CountingSeedSequence(original):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    def run_streaming(n_requests):
         workload = dataclasses.replace(one_block_stream(),
                                        n_requests=n_requests)
         machine, implementation, files = build_service_machine(
@@ -249,8 +254,10 @@ class TestRequestStreamCost:
         result = ServiceDriver(machine, implementation, files, workload,
                                retain_requests=False).run()
         assert result.aggregates["completed"] == n_requests
-        return len(built)
 
-    def test_seed_sequences_do_not_grow_with_the_stream(self, monkeypatch):
-        assert self.seed_sequences_built(monkeypatch, 100) == \
-            self.seed_sequences_built(monkeypatch, 500)
+    def test_seed_sequences_do_not_grow_with_the_stream(self, seed_sequences):
+        self.run_streaming(100)
+        short = len(seed_sequences)
+        seed_sequences.clear()
+        self.run_streaming(500)
+        assert len(seed_sequences) == short
