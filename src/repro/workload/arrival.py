@@ -126,9 +126,9 @@ def request_states(trial_seed, first_index, count, purpose=PURPOSE_PLAN):
 
 
 #: Request indices whose generator states :class:`RequestStreams` derives
-#: together (aligned to multiples of this).  Deriving costs ~0.1 ms a chunk
-#: however small; a larger chunk also holds more states and temporaries,
-#: which shows in the peak memory of short streams.
+#: together (aligned to multiples of this).  A derivation has a fixed cost
+#: however few indices it covers; a larger chunk also holds more states and
+#: temporaries, which shows in the peak memory of short streams.
 _STATE_CHUNK = 32
 _NO_CHUNK = (None, None, 0, None)
 
