@@ -1,4 +1,4 @@
-"""The bit-identical differential matrix (86 pinned trials).
+"""The bit-identical differential matrix (88 pinned trials).
 
 PR 5 verified its kernel rework by diffing a 68-trial matrix of full result
 objects across both experiment families — but that diff lived offline.  This
@@ -65,7 +65,7 @@ def _service(label, **overrides):
 
 
 def matrix_trials():
-    """The fixed trial list: ``[(key, config, seed), ...]`` — 86 entries.
+    """The fixed trial list: ``[(key, config, seed), ...]`` — 88 entries.
 
     Keys are human-readable (``label#s<seed>``) and stable: they name trials
     in the pinned JSON so a digest mismatch points at the exact trial that
@@ -234,6 +234,12 @@ def matrix_trials():
                     pattern=pattern))
     add(_service("svc:two-phase:mixed", method="two-phase", n_requests=12,
                  read_fraction=0.5))
+
+    # A retained open-loop backlog deeper than the 64-handler spawn window
+    # (driver.STREAM_SPAWN_WINDOW): its records must survive the cursor.
+    for method in _METHODS:
+        add(_service(f"svc:{method}:backlog", method=method,
+                     n_requests=100, arrival_rate=10000.0))
 
     keys = [key for key, _, _ in trials]
     if len(set(keys)) != len(keys):
