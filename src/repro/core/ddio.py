@@ -52,18 +52,13 @@ class DiskDirectedFS(CollectiveFileSystem):
     DONE_TAG = "ddio-done"
 
     def __init__(self, machine, striped_file=None, presort=True, buffers_per_disk=2,
-                 fault_policy=None, collapse_single_piece=True, checksums=False):
+                 fault_policy=None, checksums=False):
         super().__init__(machine, striped_file, fault_policy=fault_policy,
                          checksums=checksums)
         if buffers_per_disk < 1:
             raise ValueError("need at least one buffer per disk")
         self.presort = presort
         self.buffers_per_disk = buffers_per_disk
-        #: Run single-piece Memput/Memget inline instead of spawning a
-        #: Process + AllOf per piece (see :meth:`_deliver_to_cps` for the
-        #: equivalence argument).  The knob exists only so the pin test can
-        #: compare both paths bit-for-bit.
-        self.collapse_single_piece = collapse_single_piece
         #: cross-collective IOP scheduling: block lists are merged into each
         #: drive's SharedDiskQueue instead of running per-session buffer
         #: threads.  The queue's worker pool plays the buffer-thread role
@@ -310,20 +305,15 @@ class DiskDirectedFS(CollectiveFileSystem):
         """Memput the per-CP pieces of one block, concurrently to all CPs.
 
         Single-piece blocks run the Memput inline (``yield from``) instead
-        of spawning a Process + AllOf.  Equivalence argument (PR 5 style):
-        spawning defers the child's first step by one same-instant ring hop
-        and resumes the parent through AllOf one hop after the child
-        finishes; inlining runs the same event sequence starting at
-        parent-resume time.  Both orderings issue the piece's CPU charge and
-        wire transfer at the same simulated instants because nothing else in
-        this session can run between the parent's resume and the child's
-        first step (the block's data dependency serialises them), and
-        cross-session interleavings only shift *which* same-instant ring slot
-        the charge occupies — the acquire/transfer times are identical.  The
-        ``collapse_single_piece=False`` knob preserves the spawning path so
-        ``tests/core/test_memput_collapse.py`` can pin both bit-identical.
+        of spawning a Process + AllOf.  That issues the same charges at the
+        same instants: spawning would only defer the child's first step by
+        one same-instant ring hop and resume the parent one hop after the
+        child finishes, nothing else in this session can run in between (the
+        block's data dependency serialises them), and cross-session
+        interleavings only shift *which* same-instant ring slot the charge
+        occupies — the acquire/transfer times are identical.
         """
-        if self.collapse_single_piece and len(pieces) == 1:
+        if len(pieces) == 1:
             yield from self._memput(iop, pieces[0], session)
             return
         transfers = [self.env.process(self._memput(iop, piece, session))
@@ -337,7 +327,7 @@ class DiskDirectedFS(CollectiveFileSystem):
         Single-piece blocks inline the Memget; see :meth:`_deliver_to_cps`
         for the same-instant equivalence argument.
         """
-        if self.collapse_single_piece and len(pieces) == 1:
+        if len(pieces) == 1:
             yield from self._memget(iop, pieces[0], session)
             return
         transfers = [self.env.process(self._memget(iop, piece, session))

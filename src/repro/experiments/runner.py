@@ -94,7 +94,13 @@ from repro.patterns import make_pattern
 #:     states instead of built per request.  No simulated result moved (the
 #:     digest matrix pins this); entries are re-stamped because the model
 #:     sources changed.
-CACHE_SCHEMA_VERSION = 13
+#: v14: the driver's reference paths are gone — retained and streaming
+#:     open-loop runs share the spawn-window cursor, FIFO admission always
+#:     goes through the admission queue, and DDIO always runs single-piece
+#:     Memput/Memget inline.  No simulated result moved (the digest matrix
+#:     pins this, retained backlogs past the spawn window included); entries
+#:     are re-stamped because the model sources changed.
+CACHE_SCHEMA_VERSION = 14
 
 
 # -- experiment families --------------------------------------------------------

@@ -122,7 +122,7 @@ class AdmissionPolicy:
 
 
 class FIFOPolicy(AdmissionPolicy):
-    """Arrival order — the reference, bit-identical to the old Resource path."""
+    """Arrival order, the default: grants what a counting semaphore would."""
 
     name = "fifo"
 

@@ -62,9 +62,7 @@ from repro.fs import FileSystem
 from repro.machine import Machine, MachineConfig
 from repro.patterns import make_pattern
 from repro.sim.events import AllOf
-from repro.sim.resources import Resource
 from repro.workload.admission import (
-    ADMITTED,
     DROPPED,
     AdaptiveConcurrencyController,
     AdmissionQueue,
@@ -435,13 +433,12 @@ class ServiceResult:
                 f"p99={self.response_percentile(0.99) * 1e3:7.2f} ms")
 
 
-#: Handler-spawn window for streaming open-loop runs: how many arrived
-#: requests may exist as live (pending-unadmitted) simulator processes at
-#: once.  The window only has to exceed the number of admission slots that
-#: can free at one simulated instant (at most ``concurrency``) for admission
-#: instants to match the materialised reference exactly; it is generous
-#: because handlers are small and the backlog itself stays implicit in the
-#: arrival cursor.
+#: Handler-spawn window of the open loop: how many arrived requests may
+#: exist as live (pending-unadmitted) simulator processes at once.  The
+#: window only has to exceed the number of admission slots that can free at
+#: one simulated instant (at most ``concurrency``) for every admission to
+#: grant the request that arrived first; it is generous because handlers
+#: are small and the backlog itself stays implicit in the arrival cursor.
 STREAM_SPAWN_WINDOW = 64
 
 #: A run that took at least this many host seconds has its machine freed
@@ -489,12 +486,10 @@ class ServiceDriver:
     Measurement is *streaming*: each session's response/service time and
     byte/fault counters are folded into mergeable aggregates
     (:mod:`repro.workload.aggregate`) the moment it completes, so driver-side
-    memory is O(1) in the request count.  With ``retain_requests=True`` (the
-    default, for small runs and the differential reference) the driver
-    additionally keeps the per-request record list and uses the exact
-    handler-per-arrival open-loop generator; ``retain_requests=False`` keeps
-    only the aggregates and bounds live open-loop handlers by a spawn window
-    driven from the (deterministic) arrival cursor.
+    memory is O(1) in the request count.  ``retain_requests=True`` (the
+    default, for small runs) additionally keeps the per-request record list;
+    it changes nothing else.  Every open-loop run bounds its live handlers by
+    a spawn window driven from the (deterministic) arrival cursor.
 
     ``checkpoint_every``/``checkpoint_path`` write a
     :class:`~repro.workload.checkpoint.RunCheckpoint` of the fold state every
@@ -511,8 +506,7 @@ class ServiceDriver:
     def __init__(self, machine, implementation, files, workload,
                  retain_requests=True, checkpoint_every=0,
                  checkpoint_path=None, resume_from=None,
-                 admission_policy="fifo", controller=None,
-                 legacy_admission=False):
+                 admission_policy="fifo", controller=None):
         self.machine = machine
         self.env = machine.env
         self.implementation = implementation
@@ -526,32 +520,19 @@ class ServiceDriver:
         self._resume = resume_from
         self._streams = RequestStreams()
         self.admission_policy = make_admission_policy(admission_policy)
-        self._legacy = legacy_admission
         if isinstance(controller, dict):
             controller = ControllerConfig(**controller)
         self._controller_config = controller
         self._controller = None
-        if legacy_admission:
-            # The pre-admission-layer reference path (a plain FIFO counting
-            # Resource), kept so the differential tests can pin the FIFO
-            # policy bit-identical against the code it replaced.
-            if controller is not None \
-                    or not isinstance(self.admission_policy, FIFOPolicy):
-                raise ValueError(
-                    "the legacy admission path is FIFO-only, no controller")
-            self.admission = Resource(machine.env,
-                                      capacity=workload.concurrency,
-                                      name="service-admission")
-        else:
-            self.admission = AdmissionQueue(machine.env,
-                                            capacity=workload.concurrency,
-                                            policy=self.admission_policy,
-                                            name="service-admission")
-            if controller is not None:
-                max_k = controller.max_k if controller.max_k > 0 \
-                    else 4 * workload.concurrency
-                self._controller = AdaptiveConcurrencyController(
-                    controller, self.admission, max_k=max_k)
+        self.admission = AdmissionQueue(machine.env,
+                                        capacity=workload.concurrency,
+                                        policy=self.admission_policy,
+                                        name="service-admission")
+        if controller is not None:
+            max_k = controller.max_k if controller.max_k > 0 \
+                else 4 * workload.concurrency
+            self._controller = AdaptiveConcurrencyController(
+                controller, self.admission, max_k=max_k)
         self._in_flight = 0
         self.max_in_flight = 0
         self._records = []
@@ -662,18 +643,12 @@ class ServiceDriver:
             ]
             done = AllOf(self.env, streams)
         else:
-            handlers_done = self.env.event()
-            if self.retain_requests:
-                self.env.process(
-                    self._open_loop_generator(seed, arrival, handlers_done))
-            else:
-                # Streaming: bound live handlers by the spawn window; the
-                # backlog stays implicit in the deterministic arrival cursor.
-                self._window = self._spawn_window()
-                self._window_pending = 0
-                self._complete_event = handlers_done
-                self.env.process(self._open_loop_streaming(seed, arrival))
-            done = handlers_done
+            # Bound live handlers by the spawn window; the backlog stays
+            # implicit in the deterministic arrival cursor.
+            self._window = self._spawn_window()
+            self._window_pending = 0
+            done = self._complete_event = self.env.event()
+            self.env.process(self._open_loop(seed, arrival))
         self.env.run(done, watchdog=watchdog)
 
         totals = self._totals
@@ -737,17 +712,16 @@ class ServiceDriver:
                 for cls, sketch in sorted(self._class_sketches.items())}
 
     def _spawn_window(self):
-        """Live-handler bound for the streaming open loop.
+        """Live-handler bound for the open loop.
 
         FIFO admission only ever grants the earliest-index waiters, so a
         fixed window that exceeds the slots that can free at one instant is
-        enough for admission instants to match the materialised reference.
-        A non-FIFO policy (or a shedding controller) must see the *whole*
-        arrived backlog to pick (or drop) the same session the retained
-        driver would, so the window opens to the full stream: memory becomes
+        enough for every grant to find the request it would find with the
+        whole backlog spawned.  A non-FIFO policy (or a shedding controller)
+        must see the *whole* arrived backlog to pick (or drop) the right
+        session, so the window opens to the full stream: memory becomes
         O(admission queue length) — the floor any online size/deadline-aware
-        discipline needs — instead of O(1), and the streaming-vs-retained
-        differential matrix still holds bit-identically.
+        discipline needs — instead of O(1).
         """
         window = max(2 * self.workload.concurrency, STREAM_SPAWN_WINDOW)
         controller = self._controller
@@ -854,37 +828,21 @@ class ServiceDriver:
                 if think > 0:
                     yield self.env.timeout(think)
             first = False
-            yield from self._handle_request(trial_seed, index)
+            yield from self._handle_request(trial_seed, index, self.env.now)
 
-    def _open_loop_generator(self, trial_seed, arrival, handlers_done):
-        """Spawn a handler for every request at its scheduled arrival time."""
-        workload = self.workload
-        handlers = []
-        clock = self.env.now
-        for index in range(workload.n_requests):
-            arrival_time = clock + arrival.interarrival(trial_seed, index)
-            delay = arrival_time - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            clock = arrival_time
-            handlers.append(self.env.process(
-                self._handle_request(trial_seed, index)))
-        yield AllOf(self.env, handlers)
-        handlers_done.succeed()
+    def _open_loop(self, trial_seed, arrival):
+        """The open loop: spawn request handlers from an arrival cursor.
 
-    def _open_loop_streaming(self, trial_seed, arrival):
-        """Constant-memory open loop: spawn handlers from an arrival cursor.
-
-        The cursor walks arrival times in index order (the same cumulative
-        interarrival sums the reference generator produces) but only keeps
-        ``self._window`` handlers alive at once: the next handler is spawned
-        when a handler is *admitted* (freeing a window slot) and its arrival
-        time has been reached.  Because the window always holds the
-        earliest-index pending requests and exceeds the number of admission
-        slots that can free at one instant, every admission grant finds the
-        same request at the same simulated time as the materialised
-        reference — the backlog beyond the window exists only as the
-        not-yet-advanced cursor, at zero memory.
+        The cursor walks arrival times in index order (cumulative
+        interarrival sums) but only keeps ``self._window`` handlers alive at
+        once: the next handler is spawned when a handler is *admitted*
+        (freeing a window slot) and its arrival time has been reached; it
+        carries its planned arrival time, not its spawn time.  Because the
+        window always holds the earliest-index pending requests and exceeds
+        the number of admission slots that can free at one instant, every
+        admission grant finds the request at the simulated time it would
+        with one handler per arrival — the backlog beyond the window exists
+        only as the not-yet-advanced cursor, at zero memory.
         """
         workload = self.workload
         clock = self.env.now
@@ -897,12 +855,11 @@ class ServiceDriver:
             if delay > 0:
                 yield self.env.timeout(delay)
             self._window_pending += 1
-            self.env.process(self._handle_request(trial_seed, index,
-                                                  arrival_time=clock))
+            self.env.process(self._handle_request(trial_seed, index, clock))
         # Completion of the last handler fires self._complete_event.
 
     def _note_admitted(self):
-        """Streaming-mode bookkeeping: an admission frees a window slot."""
+        """Open-loop bookkeeping: an admission frees a window slot."""
         if self._window_pending is None:
             return
         self._window_pending -= 1
@@ -910,6 +867,13 @@ class ServiceDriver:
         if waiter is not None and self._window_pending < self._window:
             self._window_waiter = None
             waiter.succeed()
+
+    def _note_completed(self):
+        """Count a terminal session; the last one ends an open-loop run."""
+        self._completions += 1
+        if self._complete_event is not None \
+                and self._completions == self.workload.n_requests:
+            self._complete_event.succeed()
 
     def _fold_session(self, arrival_time, admitted_time, completed_time,
                       session, priority=0):
@@ -964,37 +928,30 @@ class ServiceDriver:
                 or arrival_time < totals["first_arrival"]:
             totals["first_arrival"] = arrival_time
 
-    def _handle_request(self, trial_seed, index, arrival_time=None):
+    def _handle_request(self, trial_seed, index, arrival_time):
         """Admit, run and account one collective request.
 
-        *arrival_time* is passed by the streaming open loop (whose handlers
-        may be spawned after their planned arrival when the window is full);
-        when ``None`` the request arrives the moment the handler starts.
+        *arrival_time* is the request's planned arrival: an open-loop
+        handler may be spawned after it when the window is full.
         """
         striped_file, pattern = self.plan_request(trial_seed, index)
-        if arrival_time is None:
-            arrival_time = self.env.now
-        priority = 0
-        if self._legacy:
-            slot = self.admission.request()
-        else:
-            priority, slack = session_qos(trial_seed, index,
-                                          self.workload.priority_levels,
-                                          self.workload.deadline_slack,
-                                          streams=self._streams)
-            slot = self.admission.request(AdmissionTicket(
-                index=index,
-                arrival_time=arrival_time,
-                enqueue_time=self.env.now,
-                size_bytes=pattern.total_transfer_bytes(),
-                priority=priority,
-                deadline=None if slack is None else arrival_time + slack,
-            ))
+        priority, slack = session_qos(trial_seed, index,
+                                      self.workload.priority_levels,
+                                      self.workload.deadline_slack,
+                                      streams=self._streams)
+        slot = self.admission.request(AdmissionTicket(
+            index=index,
+            arrival_time=arrival_time,
+            enqueue_time=self.env.now,
+            size_bytes=pattern.total_transfer_bytes(),
+            priority=priority,
+            deadline=None if slack is None else arrival_time + slack,
+        ))
         yield slot
-        if not self._legacy and not slot.admitted:
+        if not slot.admitted:
             # Rejected at admission (deadline drop or load shed): the
             # session is terminal without ever running; account its bytes
-            # as shed so conservation holds, free the streaming window
+            # as shed so conservation holds, free the open-loop window
             # slot, and count the completion so the run can finish.
             self._note_admitted()
             if index not in self._folded:
@@ -1015,10 +972,7 @@ class ServiceDriver:
                     "bytes_moved": 0,
                     "bytes_shed": slot.ticket.size_bytes,
                 }
-            self._completions += 1
-            if self._complete_event is not None \
-                    and self._completions == self.workload.n_requests:
-                self._complete_event.succeed()
+            self._note_completed()
             return
         admitted_time = self.env.now
         self._in_flight += 1
@@ -1060,10 +1014,7 @@ class ServiceDriver:
                 "retries": session.result.counters.get("retries", 0),
                 "degraded": session.result.counters.get("degraded", 0),
             }
-        self._completions += 1
-        if self._complete_event is not None \
-                and self._completions == self.workload.n_requests:
-            self._complete_event.succeed()
+        self._note_completed()
 
 
 def build_service_machine(workload, machine_config=None, seed=None,
@@ -1130,7 +1081,7 @@ def run_service(method, workload, machine_config=None, seed=None,
                 checkpoint_path=None, resume_from=None,
                 admission_policy="fifo", admission_aging=0.0,
                 edf_service_rate=0.0, controller=None,
-                legacy_admission=False, device="disk", redundancy="none",
+                device="disk", redundancy="none",
                 rebuild_bandwidth=0.0, **fs_kwargs):
     """Build a machine, drive *workload* through it, return the :class:`ServiceResult`.
 
@@ -1142,8 +1093,8 @@ def run_service(method, workload, machine_config=None, seed=None,
     ``watchdog`` bounds wall time without simulated progress.
 
     ``retain_requests=False`` runs the driver in constant-memory streaming
-    mode (no per-request records; percentiles come from the mergeable
-    sketch — they always do).  ``checkpoint_every``/``checkpoint_path``
+    mode: no per-request records, nothing else changes (percentiles come
+    from the mergeable sketch either way).  ``checkpoint_every``/``checkpoint_path``
     write periodic fold-state checkpoints and ``resume_from`` restores one
     (see :mod:`repro.workload.checkpoint`).
 
@@ -1152,9 +1103,7 @@ def run_service(method, workload, machine_config=None, seed=None,
     ``admission_aging`` and ``edf_service_rate`` parameterise SJF's aging
     bound and EDF's meetability estimate.  ``controller`` (a
     :class:`~repro.workload.admission.ControllerConfig` or kwargs dict)
-    enables the adaptive-K p99 controller.  ``legacy_admission=True`` runs
-    the pre-admission-layer FIFO ``Resource`` path — the differential
-    reference only.
+    enables the adaptive-K p99 controller.
     """
     machine, implementation, files = build_service_machine(
         workload, machine_config=machine_config, seed=seed, method=method,
@@ -1172,7 +1121,6 @@ def run_service(method, workload, machine_config=None, seed=None,
                                admission_policy,
                                aging_bound=admission_aging,
                                service_rate=edf_service_rate),
-                           controller=controller,
-                           legacy_admission=legacy_admission)
+                           controller=controller)
     return driver.run(trial_seed=workload.seed if seed is None else seed,
                       watchdog=watchdog)

@@ -459,20 +459,6 @@ class TestDriverIntegration:
                     seed=2)
     MACHINE = dict(n_cps=2, n_iops=2, n_disks=4)
 
-    def test_legacy_path_is_fifo_only(self):
-        from repro.workload.driver import ServiceDriver, build_service_machine
-
-        workload = ServiceWorkload(**self.WORKLOAD)
-        machine, implementation, files = build_service_machine(
-            workload, machine_config=MachineConfig(**self.MACHINE))
-        with pytest.raises(ValueError, match="FIFO-only"):
-            ServiceDriver(machine, implementation, files, workload,
-                          admission_policy="sjf", legacy_admission=True)
-        with pytest.raises(ValueError, match="no controller"):
-            ServiceDriver(machine, implementation, files, workload,
-                          controller={"target_p99": 1.0},
-                          legacy_admission=True)
-
     def test_dropped_sessions_never_enter_response_sketch(self):
         workload = ServiceWorkload(deadline_slack=0.01,
                                    **{**self.WORKLOAD, "concurrency": 1})

@@ -53,13 +53,13 @@ def spawned(monkeypatch):
     return names
 
 
-def run_stream(method, spawned):
+def run_stream(method, spawned, retain_requests=False):
     """Run the stream; returns (processes by name, events) of the run phase."""
     workload = one_block_stream()
     machine, implementation, files = build_service_machine(
         workload, machine_config=MACHINE, seed=3, method=method)
     driver = ServiceDriver(machine, implementation, files, workload,
-                           retain_requests=False)
+                           retain_requests=retain_requests)
     spawned.clear()
     events_before = machine.env._eid
     result = driver.run()
@@ -68,15 +68,20 @@ def run_stream(method, spawned):
     return dict(spawned), machine.env._eid - events_before
 
 
+@pytest.mark.parametrize("retain", [False, True],
+                         ids=["streaming", "retained"])
 class TestPerSessionCost:
-    def test_disk_directed(self, spawned):
-        processes, events = run_stream("disk-directed", spawned)
+    """Retained and streaming runs share one open loop: keeping the records
+    spawns nothing and schedules nothing."""
+
+    def test_disk_directed(self, spawned, retain):
+        processes, events = run_stream("disk-directed", spawned, retain)
         # Per session: the driver's handler, one worker per CP and the IOP's
         # collective handler, which moves the one block itself (the only
         # disk holding it gets one buffer thread, run inline).  The stream
         # generator and the IOP server loop are spawned once per run.
         assert processes == {
-            "_open_loop_streaming": 1,
+            "_open_loop": 1,
             "_iop_server": 1,
             "_handle_request": N_SESSIONS,
             "_cp_worker": MACHINE.n_cps * N_SESSIONS,
@@ -85,14 +90,14 @@ class TestPerSessionCost:
         assert sum(processes.values()) == 2 + 4 * N_SESSIONS
         assert events == 1677
 
-    def test_traditional_caching(self, spawned):
-        processes, events = run_stream("traditional", spawned)
+    def test_traditional_caching(self, spawned, retain):
+        processes, events = run_stream("traditional", spawned, retain)
         # Per session: the driver's handler, the one CP that owns the
         # record, its request exchange and the IOP's read or write handler
         # (29 + 11 == N_SESSIONS); each write adds its write-behind drain.
         # The cache's fetches and write-backs are modelled I/O.
         assert processes == {
-            "_open_loop_streaming": 1,
+            "_open_loop": 1,
             "_handle_request": N_SESSIONS,
             "_cp_worker": N_SESSIONS,
             "_cp_issue_request": N_SESSIONS,

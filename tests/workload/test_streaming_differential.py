@@ -1,12 +1,12 @@
-"""Differential pins: the streaming driver against the retained reference.
+"""Differential pins: the fold-at-completion aggregates against the records.
 
-``retain_requests=False`` must be a *representation* change, not a behaviour
-change: the spawn-window open loop admits every request at the same simulated
-instant as the materialised reference, and the fold-at-completion aggregates
-must equal the reference's — bit-identical where the quantity is exact
-(byte counters, conservation, makespan, sketches, per-method counters), and
-within the sketch's documented error bound where the reference computes the
-exact sorted-list percentile.  The matrix spans seed x arrival process x
+Retained and streaming runs share one open loop (the spawn-window cursor)
+and one admission path; ``retain_requests`` only decides whether the
+per-request records are kept.  So the pins here check the fold against the
+records: a streaming run's envelope must equal a retained run's, the folded
+totals must re-derive from the retained records, and the sketch percentiles
+must sit within their documented error bound of the exact sorted-list
+percentiles of the records.  The matrix spans seed x arrival process x
 fault config, because each axis changes completion *order* — the thing a
 fold could accidentally depend on.
 """
@@ -46,7 +46,7 @@ def tiny_workload(seed, **arrival_kwargs):
 
 
 def run_pair(seed, arrival_kwargs, fault_config, method="disk-directed"):
-    """The same trial twice: retained reference, then streaming."""
+    """The same trial twice: retained, then streaming."""
     results = []
     for retain in (True, False):
         workload = tiny_workload(seed, **arrival_kwargs)
@@ -119,48 +119,6 @@ class TestStreamingAcrossMethods:
         assert envelope(streaming) == envelope(retained)
 
 
-def run_legacy_pair(seed, arrival_kwargs, fault_config):
-    """The same trial on the pre-admission-layer Resource path and the new
-    FIFO AdmissionQueue, both retained."""
-    results = []
-    for legacy in (True, False):
-        workload = tiny_workload(seed, **arrival_kwargs)
-        results.append(run_service(
-            "disk-directed", workload,
-            machine_config=MachineConfig(n_cps=2, n_iops=2, n_disks=4),
-            seed=seed, fault_config=fault_config,
-            legacy_admission=legacy))
-    return results
-
-
-@pytest.mark.parametrize("fault_name,fault_config", FAULTS,
-                         ids=[name for name, _ in FAULTS])
-@pytest.mark.parametrize("arrival_kwargs", ARRIVALS,
-                         ids=[spec["arrival"] for spec in ARRIVALS])
-@pytest.mark.parametrize("seed", SEEDS)
-class TestFIFOMatchesLegacyResource:
-    """The admission layer's FIFO policy against the counting semaphore it
-    replaced — full-result bit-identity, per-request records included, across
-    the same seed x arrival x fault matrix (each axis shifts grant order)."""
-
-    def test_bit_identical_including_records(self, seed, arrival_kwargs,
-                                             fault_name, fault_config):
-        legacy, modern = run_legacy_pair(seed, arrival_kwargs, fault_config)
-        assert dataclasses.asdict(modern) == dataclasses.asdict(legacy)
-        assert modern.admission == "fifo" and modern.controller == {}
-
-    def test_streaming_fifo_matches_legacy_envelope(self, seed,
-                                                    arrival_kwargs,
-                                                    fault_name, fault_config):
-        legacy, _ = run_legacy_pair(seed, arrival_kwargs, fault_config)
-        workload = tiny_workload(seed, **arrival_kwargs)
-        streaming = run_service(
-            "disk-directed", workload,
-            machine_config=MachineConfig(n_cps=2, n_iops=2, n_disks=4),
-            seed=seed, fault_config=fault_config, retain_requests=False)
-        assert envelope(streaming) == envelope(legacy)
-
-
 def stamped_workload(seed, **arrival_kwargs):
     """The differential workload with the QoS axes lit: two priority
     classes, ~0.6 s deadlines and Pareto sizes (so size-aware ordering,
@@ -175,7 +133,7 @@ def stamped_workload(seed, **arrival_kwargs):
 
 
 #: Non-FIFO disciplines (and the shedding controller) whose streaming mode
-#: must still reproduce the retained reference exactly.
+#: must still reproduce the retained run exactly.
 POLICY_ROWS = (
     ("sjf", dict(admission_policy="sjf", admission_aging=0.5)),
     ("priority", dict(admission_policy="priority")),
@@ -274,11 +232,11 @@ class TestStreamingUnderPressure:
                                    pattern_specs=("b",), record_size=8192,
                                    seed=2)
         machine_config = MachineConfig(n_cps=2, n_iops=1, n_disks=2)
-        reference = run_service("disk-directed", workload,
-                                machine_config=machine_config, seed=2,
-                                retain_requests=True)
+        retained = run_service("disk-directed", workload,
+                               machine_config=machine_config, seed=2,
+                               retain_requests=True)
         streaming = run_service("disk-directed", workload,
                                 machine_config=machine_config, seed=2,
                                 retain_requests=False)
-        assert envelope(streaming) == envelope(reference)
+        assert envelope(streaming) == envelope(retained)
         assert streaming.max_in_flight == 2
