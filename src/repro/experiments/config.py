@@ -4,6 +4,8 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 
+from repro.disk.redundancy import check_parity_width
+
 #: 2^20 bytes, the paper's "Mbyte".
 MEGABYTE = 2 ** 20
 
@@ -42,6 +44,11 @@ class ExperimentConfig:
     redundancy: str = "none"
     seed: int = 0
     label: str = ""
+
+    def __post_init__(self):
+        # Fail at construction, not inside the run that builds the array.
+        if self.redundancy == "parity":
+            check_parity_width(self.n_disks)
 
     def with_overrides(self, **kwargs):
         """Copy with some fields replaced."""

@@ -32,6 +32,14 @@ class TestExperimentConfig:
         assert "traditional" in text
         assert "rcc" in text
 
+    def test_too_narrow_parity_array_fails_at_construction(self):
+        with pytest.raises(ValueError, match="parity needs at least 3 drives"):
+            ExperimentConfig(redundancy="parity", n_disks=2)
+        with pytest.raises(ValueError, match="parity needs at least 3 drives"):
+            ExperimentConfig(n_disks=2).with_overrides(redundancy="parity")
+        assert ExperimentConfig(redundancy="parity", n_disks=3).n_disks == 3
+        assert ExperimentConfig(n_disks=2).n_disks == 2
+
 
 class TestTrialSummary:
     def test_mean_and_stdev(self):
