@@ -64,7 +64,8 @@ def make_repo(tmp_path):
     """A miniature repository tree for staleness checks."""
     write(tmp_path / "src" / "repro" / "__init__.py", "")
     write(tmp_path / "src" / "repro" / "sim" / "__init__.py", "")
-    write(tmp_path / "src" / "repro" / "sim" / "engine.py", "X = 1\n")
+    write(tmp_path / "src" / "repro" / "sim" / "engine.py",
+          "X = 1\n\n\ndef run(until=None, watchdog=None):\n    pass\n")
     write(tmp_path / "src" / "repro" / "experiments" / "figures.py",
           'FIGURES = {\n    "figure3": f3,\n    "service": svc,\n}\n')
     write(tmp_path / "tools" / "demo.py",
@@ -128,6 +129,24 @@ class TestStaleReferences:
         root = make_repo(tmp_path)
         doc = write(root / "docs" / "a.md", "`pytest --cov=repro`")
         assert stale_references(doc, root=root) == []
+
+    def test_keywords_naming_source_identifiers_pass(self, tmp_path):
+        root = make_repo(tmp_path)
+        doc = write(root / "docs" / "a.md",
+                    "`run(until=5, watchdog=None)` and `watchdog=None` and "
+                    "`PYTHONPATH=src python -m repro` and `x == y`\n")
+        assert stale_references(doc, root=root) == []
+
+    def test_deleted_keyword_reported(self, tmp_path):
+        root = make_repo(tmp_path)
+        doc = write(root / "docs" / "a.md",
+                    "no more `run(watchdog=1, retired_knob=True)`\n"
+                    "```\nrun(fenced_only=1)\n```\n")
+        assert stale_references(doc, root=root) == \
+            [(1, "keyword", "retired_knob")]
+        assert stale_references(doc, root=root,
+                                identifiers={"retired_knob",
+                                             "watchdog"}) == []
 
 
 class TestStalenessHelpers:

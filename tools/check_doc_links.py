@@ -12,7 +12,7 @@ is a repository-consistency guard, not a crawler.  Anchored file links
 
 **Staleness.**  Documentation rots in ways a link checker cannot see: a
 renamed module, a dropped CLI flag, a retired experiment family.  The
-staleness pass grep-checks three kinds of inline-code references against the
+staleness pass grep-checks four kinds of inline-code references against the
 tree (no imports, so it runs in a bare CI image):
 
 * *tree paths* — code spans that look like repository paths
@@ -26,7 +26,12 @@ tree (no imports, so it runs in a bare CI image):
   ``benchmarks/``, ``perfbench/`` or ``examples/`` (or be a known
   external-tool flag), and
   every ``ddio-figures NAME`` command must name a key of the ``FIGURES``
-  registry (parsed textually from ``src/repro/experiments/figures.py``).
+  registry (parsed textually from ``src/repro/experiments/figures.py``);
+* *keywords* — every ``name=value`` keyword in an inline code span
+  (``retain_requests=False``, ``Machine(device="ssd")``) must name an
+  identifier that appears in some Python source under the same trees, so
+  a doc that still names a deleted knob fails.  Snake-case names only:
+  ``PYTHONPATH=src`` is an environment variable, not a keyword.
 
 **Quoted numbers.**  Markdown tables that quote measured results carry a
 ``doctable`` marker tying them to their ``docs/data/*.json`` artifact::
@@ -81,6 +86,12 @@ _MODULE_RE = re.compile(r"^repro(?:\.\w+)+$")
 #: A CLI long flag.
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 
+#: A ``name=value`` keyword (not ``==``, not a ``--flag=value``).
+_KEYWORD_RE = re.compile(r"(?<![\w.=-])([a-z_][a-z0-9_]*)=(?!=)")
+
+#: A Python identifier, as harvested from the sources.
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+
 #: ``ddio-figures NAME`` commands (however invoked).
 _FIGURE_CMD_RE = re.compile(r"ddio-figures\s+([a-z][a-z0-9-]*)")
 
@@ -90,7 +101,7 @@ _EXTERNAL_FLAGS = frozenset({
     "--cov-report", "--import-mode", "--upgrade",
 })
 
-#: Where project CLI flags are defined.
+#: Where project CLI flags and keyword names are defined.
 _FLAG_SOURCE_DIRS = ("src", "tools", "benchmarks", "perfbench", "examples")
 
 #: The figure registry, parsed textually (CI's docs job has no numpy).
@@ -138,8 +149,8 @@ def dead_links(markdown_path, repo_root=None):
 
 # -- staleness checks --------------------------------------------------------------
 
-def iter_code_references(text):
-    """Yield ``(line_number, text)`` for inline spans and fenced-block lines."""
+def _iter_code_references(text):
+    """Yield ``(line_number, text, inline)`` for spans and fenced lines."""
     in_fence = False
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -147,10 +158,16 @@ def iter_code_references(text):
             in_fence = not in_fence
             continue
         if in_fence:
-            yield line_number, stripped
+            yield line_number, stripped, False
         else:
             for match in _CODE_SPAN_RE.finditer(line):
-                yield line_number, match.group(1)
+                yield line_number, match.group(1), True
+
+
+def iter_code_references(text):
+    """Yield ``(line_number, text)`` for inline spans and fenced-block lines."""
+    for line_number, reference, _inline in _iter_code_references(text):
+        yield line_number, reference
 
 
 def tree_path_exists(reference, root):
@@ -181,16 +198,30 @@ def module_resolves(reference, root):
     return False
 
 
-def known_flags(root):
-    """Every ``--flag`` literal appearing in project Python sources."""
-    flags = set(_EXTERNAL_FLAGS)
+def _python_sources(root):
+    """The text of every Python source under the flag/keyword trees."""
     for tree in _FLAG_SOURCE_DIRS:
         for source in (Path(root) / tree).rglob("*.py"):
             try:
-                flags.update(_FLAG_RE.findall(source.read_text(encoding="utf-8")))
+                yield source.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError):
                 continue
+
+
+def known_flags(root):
+    """Every ``--flag`` literal appearing in project Python sources."""
+    flags = set(_EXTERNAL_FLAGS)
+    for text in _python_sources(root):
+        flags.update(_FLAG_RE.findall(text))
     return flags
+
+
+def known_identifiers(root):
+    """Every identifier-like word appearing in project Python sources."""
+    identifiers = set()
+    for text in _python_sources(root):
+        identifiers.update(_IDENTIFIER_RE.findall(text))
+    return identifiers
 
 
 def figure_names(root):
@@ -207,12 +238,13 @@ def figure_names(root):
     return set(re.findall(r"[\"']([a-z][a-z0-9-]*)[\"']\s*:", match.group(1)))
 
 
-def stale_references(markdown_path, root=".", flags=None, figures=None):
+def stale_references(markdown_path, root=".", flags=None, figures=None,
+                     identifiers=None):
     """``(line, kind, reference)`` doc references that no longer match the tree.
 
-    *flags* and *figures* may be precomputed (via :func:`known_flags` /
-    :func:`figure_names`) so a multi-file run scans the Python tree once,
-    not once per document.
+    *flags*, *figures* and *identifiers* may be precomputed (via
+    :func:`known_flags` / :func:`figure_names` / :func:`known_identifiers`)
+    so a multi-file run scans the Python tree once, not once per document.
     """
     markdown_path = Path(markdown_path)
     text = markdown_path.read_text(encoding="utf-8")
@@ -220,8 +252,10 @@ def stale_references(markdown_path, root=".", flags=None, figures=None):
         flags = known_flags(root)
     if figures is None:
         figures = figure_names(root) | _FIGURE_EXTRAS
+    if identifiers is None:
+        identifiers = known_identifiers(root)
     stale = []
-    for line_number, reference in iter_code_references(text):
+    for line_number, reference, inline in _iter_code_references(text):
         if _TREE_PATH_RE.match(reference.split("::", 1)[0]):
             if not tree_path_exists(reference, root):
                 stale.append((line_number, "path", reference))
@@ -236,6 +270,10 @@ def stale_references(markdown_path, root=".", flags=None, figures=None):
         for name in _FIGURE_CMD_RE.findall(reference):
             if name not in figures:
                 stale.append((line_number, "figure", name))
+        if inline:
+            for name in _KEYWORD_RE.findall(reference):
+                if name not in identifiers:
+                    stale.append((line_number, "keyword", name))
     return stale
 
 
@@ -391,6 +429,7 @@ def main(argv=None):
     if not args.links_only:
         flags = known_flags(args.root)
         figures = figure_names(args.root) | _FIGURE_EXTRAS
+        identifiers = known_identifiers(args.root)
     failures = 0
     for markdown in files:
         for line_number, target in dead_links(markdown):
@@ -399,7 +438,8 @@ def main(argv=None):
         if args.links_only:
             continue
         for line_number, kind, reference in stale_references(
-                markdown, root=args.root, flags=flags, figures=figures):
+                markdown, root=args.root, flags=flags, figures=figures,
+                identifiers=identifiers):
             print(f"{markdown}:{line_number}: stale {kind} -> {reference}")
             failures += 1
         for line_number, kind, reference in stale_tables(markdown):
