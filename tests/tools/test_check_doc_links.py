@@ -78,12 +78,13 @@ class TestCodeReferenceScan:
         doc = write(tmp_path / "d.md",
                     "See `src/a.py` here.\n```\npython run.py --fast\n```\n")
         refs = list(iter_code_references(doc.read_text()))
-        assert (1, "src/a.py") in refs
-        assert (3, "python run.py --fast") in refs
+        assert (1, "src/a.py", True) in refs
+        assert (3, "python run.py --fast", False) in refs
 
     def test_fence_markers_not_yielded(self, tmp_path):
         doc = write(tmp_path / "d.md", "```bash\nls\n```\n")
-        assert list(iter_code_references(doc.read_text())) == [(2, "ls")]
+        assert list(iter_code_references(doc.read_text())) == \
+            [(2, "ls", False)]
 
 
 class TestStaleReferences:

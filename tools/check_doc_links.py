@@ -149,8 +149,9 @@ def dead_links(markdown_path, repo_root=None):
 
 # -- staleness checks --------------------------------------------------------------
 
-def _iter_code_references(text):
-    """Yield ``(line_number, text, inline)`` for spans and fenced lines."""
+def iter_code_references(text):
+    """Yield ``(line_number, text, inline)`` for inline spans and
+    fenced-block lines (``inline`` is False for the latter)."""
     in_fence = False
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -162,12 +163,6 @@ def _iter_code_references(text):
         else:
             for match in _CODE_SPAN_RE.finditer(line):
                 yield line_number, match.group(1), True
-
-
-def iter_code_references(text):
-    """Yield ``(line_number, text)`` for inline spans and fenced-block lines."""
-    for line_number, reference, _inline in _iter_code_references(text):
-        yield line_number, reference
 
 
 def tree_path_exists(reference, root):
@@ -255,7 +250,7 @@ def stale_references(markdown_path, root=".", flags=None, figures=None,
     if identifiers is None:
         identifiers = known_identifiers(root)
     stale = []
-    for line_number, reference, inline in _iter_code_references(text):
+    for line_number, reference, inline in iter_code_references(text):
         if _TREE_PATH_RE.match(reference.split("::", 1)[0]):
             if not tree_path_exists(reference, root):
                 stale.append((line_number, "path", reference))
