@@ -459,6 +459,21 @@ class TestDriverIntegration:
                     seed=2)
     MACHINE = dict(n_cps=2, n_iops=2, n_disks=4)
 
+    def test_legacy_path_is_fifo_only(self):
+        """What the counting-semaphore path offered, the admission layer
+        gives by default: FIFO grants and no controller."""
+        from repro.workload.driver import ServiceDriver, build_service_machine
+
+        workload = ServiceWorkload(**self.WORKLOAD)
+        machine, implementation, files = build_service_machine(
+            workload, machine_config=MachineConfig(**self.MACHINE))
+        driver = ServiceDriver(machine, implementation, files, workload)
+        assert isinstance(driver.admission_policy, FIFOPolicy)
+        assert driver.admission.policy is driver.admission_policy
+        result = driver.run()
+        assert result.admission == "fifo" and result.controller == {}
+        assert result.max_in_flight <= workload.concurrency
+
     def test_dropped_sessions_never_enter_response_sketch(self):
         workload = ServiceWorkload(deadline_slack=0.01,
                                    **{**self.WORKLOAD, "concurrency": 1})

@@ -8,10 +8,15 @@ totals must re-derive from the retained records, and the sketch percentiles
 must sit within their documented error bound of the exact sorted-list
 percentiles of the records.  The matrix spans seed x arrival process x
 fault config, because each axis changes completion *order* — the thing a
-fold could accidentally depend on.
+fold could accidentally depend on.  Over the same matrix, FIFO admission is
+held to digests of the counting ``Resource`` it replaced, recorded before
+that path was deleted.
 """
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +122,50 @@ class TestStreamingAcrossMethods:
             1, {"arrival": "poisson", "arrival_rate": 60.0}, None,
             method=method)
         assert envelope(streaming) == envelope(retained)
+
+
+#: Digests of the pre-admission-layer path (a FIFO counting ``Resource``),
+#: recorded over the same seed x arrival x fault matrix before that path was
+#: deleted.
+RESOURCE_PIN_PATH = (Path(__file__).resolve().parents[1] / "data"
+                     / "reference_path_digests.json")
+
+
+def resource_pin(seed, arrival_kwargs, fault_name):
+    with open(RESOURCE_PIN_PATH, encoding="utf-8") as handle:
+        pins = json.load(handle)["resource_admission"]
+    return pins[f"{seed}-{arrival_kwargs['arrival']}-{fault_name}"]
+
+
+def canonical_digest(payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=list)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fault_name,fault_config", FAULTS,
+                         ids=[name for name, _ in FAULTS])
+@pytest.mark.parametrize("arrival_kwargs", ARRIVALS,
+                         ids=[spec["arrival"] for spec in ARRIVALS])
+@pytest.mark.parametrize("seed", SEEDS)
+class TestFIFOMatchesLegacyResource:
+    """The admission layer's FIFO policy against the counting semaphore it
+    replaced — full-result bit-identity, per-request records included, across
+    the same seed x arrival x fault matrix (each axis shifts grant order)."""
+
+    def test_bit_identical_including_records(self, seed, arrival_kwargs,
+                                             fault_name, fault_config):
+        retained, _ = run_pair(seed, arrival_kwargs, fault_config)
+        pin = resource_pin(seed, arrival_kwargs, fault_name)
+        assert canonical_digest(dataclasses.asdict(retained)) == pin["result"]
+        assert retained.admission == "fifo" and retained.controller == {}
+
+    def test_streaming_fifo_matches_legacy_envelope(self, seed,
+                                                    arrival_kwargs,
+                                                    fault_name, fault_config):
+        _, streaming = run_pair(seed, arrival_kwargs, fault_config)
+        pin = resource_pin(seed, arrival_kwargs, fault_name)
+        assert canonical_digest(envelope(streaming)) == pin["envelope"]
 
 
 def stamped_workload(seed, **arrival_kwargs):
