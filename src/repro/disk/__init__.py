@@ -14,10 +14,11 @@ The paper's results depend on a validated model of the HP 97560 SCSI drive
 * :mod:`repro.disk.shared_queue` — the cross-collective IOP scheduler: one
   shared sorted queue per drive, merging requests from all active
   collective sessions (``Machine(disk_scheduler="shared-cscan")``),
-* :mod:`repro.disk.drive` — the :class:`~repro.disk.drive.Disk` device process
-  that services block requests under a shared SCSI bus,
+* :mod:`repro.disk.drive` — the :class:`~repro.disk.drive.BlockDevice`
+  request front end, and the :class:`~repro.disk.drive.Disk` device process
+  on it that services block requests under a shared SCSI bus,
 * :mod:`repro.disk.flash` — the :class:`~repro.disk.flash.SSD` flash device
-  (FTL, erase-block GC, write cache, NCQ), duck-compatible with ``Disk``
+  (FTL, erase-block GC, write cache, NCQ), the second ``BlockDevice``
   behind the ``Machine(device=...)`` axis.
 """
 

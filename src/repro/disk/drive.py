@@ -1,14 +1,17 @@
 """The simulated disk drive: request queue, mechanics, cache and SCSI transfer.
 
-A :class:`Disk` is a device process.  Clients call :meth:`Disk.read` /
-:meth:`Disk.write` (or :meth:`Disk.submit`), receive an event, and yield it;
-the drive's service loop picks queued requests according to its scheduling
-policy, charges controller overhead, mechanical positioning (or a read-ahead
-cache hit), media transfer, and the SCSI-bus transfer to the I/O processor.
+:class:`BlockDevice` is the request front end every drive model shares (the
+disk here, the flash :class:`~repro.disk.flash.SSD`).  Clients call
+:meth:`~BlockDevice.read` / :meth:`~BlockDevice.write` (or
+:meth:`~BlockDevice.submit`), receive an event, and yield it.  A
+:class:`Disk`'s service loop picks queued requests according to its
+scheduling policy, charges controller overhead, mechanical positioning (or a
+read-ahead cache hit), media transfer, and the SCSI-bus transfer to the I/O
+processor.
 
 Writes go through the drive's write buffer when enabled: the request completes
 once the data has crossed the bus and fits in the buffer, and a background
-destage process pushes it to the media.  :meth:`Disk.flush` waits for the
+destage process pushes it to the media.  :meth:`~BlockDevice.flush` waits for the
 buffer to drain — experiment harnesses call it so that reported transfer times
 include all write-behind, as the paper's do.
 """
@@ -146,51 +149,52 @@ class BusPort:
         return self.resource.acquire_event(self.transfer_time(n_bytes))
 
 
-class Disk:
-    """A single simulated drive attached to a SCSI bus on one IOP."""
+class BlockDevice:
+    """The request front end every drive model shares.
 
-    def __init__(self, env, spec, bus_port, name="disk", scheduler="fcfs",
-                 initial_angle_fraction=0.0, write_buffer_blocks=None,
-                 fault_plan=None):
+    Clients call :meth:`read` / :meth:`write` / :meth:`write_tracked` (or
+    :meth:`submit`), receive an event, and yield it; :meth:`flush` waits
+    for write-behind to drain.  A subclass supplies the media model: a
+    ``geometry`` with ``total_sectors``, the worker process(es) that serve
+    :attr:`_queue` (started by :meth:`_start_workers`), a ``_destage_loop``
+    for write-behind, and ``head_lbn_estimate`` for scheduling policies.
+    The completion plumbing (:meth:`_complete`, :meth:`_fail_request`,
+    :meth:`_signal_media`, flush release) is written once here, so every
+    device reports errors, session counters and media completion the same
+    way.
+    """
+
+    #: container type of the submission queue (a list lets a scheduler
+    #: pick any entry by index)
+    _queue_type = list
+
+    def __init__(self, env, spec, bus_port, name, fault_plan, geometry,
+                 write_buffer_capacity):
         self.env = env
         self.spec = spec
         self.name = name
         self.bus_port = bus_port
-        #: Optional :class:`~repro.disk.faults.FaultPlan`.  A non-None plan
-        #: disables the fused read fast path (see :meth:`_service_read`);
-        #: None means this drive is bit-identical to the pre-fault model.
+        #: Optional :class:`~repro.disk.faults.FaultPlan`; None means this
+        #: drive is bit-identical to the pre-fault model (on a :class:`Disk`
+        #: a plan also disables the fused read fast path).
         self.fault_plan = fault_plan
-        self.geometry = DiskGeometry(spec)
-        self.mechanics = DiskMechanics(
-            spec, self.geometry, initial_angle_fraction=initial_angle_fraction)
-        self.readahead = ReadAheadCache(spec)
-        self.scheduler = make_scheduler(scheduler) if isinstance(scheduler, str) \
-            else scheduler
+        self.geometry = geometry
         self.stats = DiskStats()
         #: per-session attribution (session id -> :class:`SessionDiskStats`);
         #: entries are created lazily for tagged requests and dropped by
         #: :meth:`release_session` once a collective's result is snapshotted.
         self.session_stats = {}
 
-        if write_buffer_blocks is None:
-            write_buffer_blocks = max(1, spec.cache_size // 8192)
-        self.write_buffer_capacity = write_buffer_blocks
+        self.write_buffer_capacity = write_buffer_capacity
         self._write_buffer = deque()          # destage queue of DiskRequest
-        self._write_buffer_waiters = deque()  # requests waiting for buffer space
+        self._buffer_waiters = deque()        # requests waiting for buffer space
         self._writes_outstanding = 0     # buffered or in-destage writes
         self._flush_waiters = []
-        #: Delay fusion defers the serve loop's arm update to a single fused
-        #: timeout; these reproduce the unfused timeline for *observers*
-        #: (the shared queue's policy reads :attr:`head_lbn_estimate` while
-        #: a request is mid-service): before ``_cylinder_update_time`` the
-        #: arm still reports the pre-request cylinder.
-        self._cylinder_update_time = 0.0
-        self._cylinder_before = 0
 
-        self._queue = []
-        self._work_available = None
+        self._queue = self._queue_type()
+        self._work = None
         self._destage_work = None
-        self._serve_process = env.process(self._serve_loop())
+        self._start_workers()
         if spec.write_cache_enabled:
             self._destage_process = env.process(self._destage_loop())
         else:
@@ -226,8 +230,8 @@ class Disk:
         """Queue *request*; returns its completion event."""
         if request.lbn < 0 or request.lbn + request.n_sectors > self.geometry.total_sectors:
             raise ValueError(
-                f"request [{request.lbn}, {request.lbn + request.n_sectors}) outside disk "
-                f"of {self.geometry.total_sectors} sectors")
+                f"request [{request.lbn}, {request.lbn + request.n_sectors}) outside "
+                f"{self.name} of {self.geometry.total_sectors} sectors")
         if request.n_sectors <= 0:
             raise ValueError("request must cover at least one sector")
         request.completion = Event(self.env)
@@ -250,6 +254,112 @@ class Disk:
         """Number of requests waiting for service (excluding buffered writes)."""
         return len(self._queue)
 
+    def session(self, session_id):
+        """This drive's :class:`SessionDiskStats` for *session_id* (lazily created)."""
+        stats = self.session_stats.get(session_id)
+        if stats is None:
+            stats = self.session_stats[session_id] = SessionDiskStats()
+        return stats
+
+    def release_session(self, session_id):
+        """Drop per-session accounting once the session's result is final."""
+        self.session_stats.pop(session_id, None)
+
+    # -- wake-ups ---------------------------------------------------------------
+    def _kick(self):
+        if self._work is not None and not self._work.triggered:
+            self._work.succeed()
+            self._work = None
+
+    def _kick_destage(self):
+        if self._destage_work is not None and not self._destage_work.triggered:
+            self._destage_work.succeed()
+            self._destage_work = None
+
+    # -- completion plumbing ----------------------------------------------------
+    def _has_pending_writes(self):
+        return any(request.op == WRITE for request in self._queue)
+
+    def _account_write(self, request):
+        self.stats.writes += 1
+        self.stats.bytes_written += request.n_bytes
+        if request.session_id is not None:
+            session = self.session(request.session_id)
+            session.writes += 1
+            session.bytes_written += request.n_bytes
+
+    def _lost_at_destage(self, request):
+        """True, with *request* marked lost, if the drive is dead at destage.
+
+        The drive died with this write still buffered: the data is lost at
+        the device.  The caller still signals media completion (with the
+        request marked errored) so flush waiters never hang.
+        """
+        plan = self.fault_plan
+        if plan is None or not plan.failed_at(self.env.now):
+            return False
+        request.status = "error"
+        request.error = FAIL_STOP
+        self.stats.faults["lost_destage"] = \
+            self.stats.faults.get("lost_destage", 0) + 1
+        return True
+
+    def _fail_request(self, request, error):
+        """Complete *request* with an error status.
+
+        The completion event *succeeds* (carrying the errored request) so
+        non-fault-aware call sites keep working; ``media_completion`` fires
+        too, keeping ``write_tracked``/``flush`` waiters live under faults.
+        """
+        request.status = "error"
+        request.error = error
+        self.stats.faults[error] = self.stats.faults.get(error, 0) + 1
+        self._complete(request)
+        self._signal_media(request)
+
+    def _complete(self, request):
+        # The event is detached before it fires: it carries the request as
+        # its value, so a request still holding it would be a reference
+        # cycle, freed only by a full collection.
+        completion, request.completion = request.completion, None
+        completion.succeed(request)
+
+    def _signal_media(self, request):
+        media, request.media_completion = request.media_completion, None
+        if media is not None and not media.triggered:
+            media.succeed(request)
+
+    def _maybe_release_flush_waiters(self):
+        if self._writes_outstanding == 0 and not self._has_pending_writes():
+            waiters, self._flush_waiters = self._flush_waiters, []
+            for waiter in waiters:
+                waiter.succeed()
+
+
+class Disk(BlockDevice):
+    """A single simulated drive attached to a SCSI bus on one IOP."""
+
+    def __init__(self, env, spec, bus_port, name="disk", scheduler="fcfs",
+                 initial_angle_fraction=0.0, write_buffer_blocks=None,
+                 fault_plan=None):
+        geometry = DiskGeometry(spec)
+        self.mechanics = DiskMechanics(
+            spec, geometry, initial_angle_fraction=initial_angle_fraction)
+        self.readahead = ReadAheadCache(spec)
+        self.scheduler = make_scheduler(scheduler) if isinstance(scheduler, str) \
+            else scheduler
+        #: Delay fusion defers the serve loop's arm update to a single fused
+        #: timeout; these reproduce the unfused timeline for *observers*
+        #: (the shared queue's policy reads :attr:`head_lbn_estimate` while
+        #: a request is mid-service): before ``_cylinder_update_time`` the
+        #: arm still reports the pre-request cylinder.
+        self._cylinder_update_time = 0.0
+        self._cylinder_before = 0
+        if write_buffer_blocks is None:
+            write_buffer_blocks = max(1, spec.cache_size // 8192)
+        super().__init__(env, spec, bus_port, name, fault_plan, geometry,
+                         write_buffer_blocks)
+
     @property
     def current_cylinder(self):
         """Cylinder the heads are currently positioned over."""
@@ -262,36 +372,15 @@ class Disk:
         """Approximate head position as an LBN, for scheduling policies."""
         return self._current_lbn_estimate()
 
-    def session(self, session_id):
-        """This drive's :class:`SessionDiskStats` for *session_id* (lazily created)."""
-        stats = self.session_stats.get(session_id)
-        if stats is None:
-            stats = self.session_stats[session_id] = SessionDiskStats()
-        return stats
-
-    def release_session(self, session_id):
-        """Drop per-session accounting once the session's result is final."""
-        self.session_stats.pop(session_id, None)
-
     # -- service loop ---------------------------------------------------------------
-    def _kick(self):
-        if self._work_available is not None and not self._work_available.triggered:
-            self._work_available.succeed()
-            self._work_available = None
-
-    def _kick_destage(self):
-        if self._destage_work is not None and not self._destage_work.triggered:
-            self._destage_work.succeed()
-            self._destage_work = None
-
-    def _has_pending_writes(self):
-        return any(request.op == WRITE for request in self._queue)
+    def _start_workers(self):
+        self._serve_process = self.env.process(self._serve_loop())
 
     def _serve_loop(self):
         while True:
             while not self._queue:
-                self._work_available = Event(self.env)
-                yield self._work_available
+                self._work = Event(self.env)
+                yield self._work
             index = self.scheduler.select(self._queue, self._current_lbn_estimate())
             request = self._queue.pop(index)
             wait = self.env.now - request.submit_time
@@ -488,7 +577,7 @@ class Disk:
             # Wait for buffer space, then complete; destage happens in background.
             while len(self._write_buffer) >= self.write_buffer_capacity:
                 waiter = Event(env)
-                self._write_buffer_waiters.append(waiter)
+                self._buffer_waiters.append(waiter)
                 yield waiter
             self._write_buffer.append(request)
             self._writes_outstanding += 1
@@ -502,14 +591,6 @@ class Disk:
             self._signal_media(request)
             self._maybe_release_flush_waiters()
 
-    def _account_write(self, request):
-        self.stats.writes += 1
-        self.stats.bytes_written += request.n_bytes
-        if request.session_id is not None:
-            session = self.session(request.session_id)
-            session.writes += 1
-            session.bytes_written += request.n_bytes
-
     def _destage_loop(self):
         env = self.env
         while True:
@@ -517,25 +598,18 @@ class Disk:
                 self._destage_work = Event(env)
                 yield self._destage_work
             request = self._write_buffer.popleft()
-            if self._write_buffer_waiters:
-                self._write_buffer_waiters.popleft().succeed()
+            if self._buffer_waiters:
+                self._buffer_waiters.popleft().succeed()
             yield from self._write_to_media(request)
             self._writes_outstanding -= 1
             self._signal_media(request)
             self._maybe_release_flush_waiters()
 
     def _write_to_media(self, request):
+        if self._lost_at_destage(request):
+            return
         env = self.env
         plan = self.fault_plan
-        if plan is not None and plan.failed_at(env.now):
-            # The drive died with this write still buffered: the data is
-            # lost at the device.  The caller still signals media completion
-            # (with the request marked errored) so flush waiters never hang.
-            request.status = "error"
-            request.error = FAIL_STOP
-            self.stats.faults["lost_destage"] = \
-                self.stats.faults.get("lost_destage", 0) + 1
-            return
         # A write that continues exactly where the previous media operation
         # ended streams at media rate; anything else pays seek + rotation.
         positioning = self.mechanics.positioning_time(env.now, request.lbn)
@@ -551,34 +625,3 @@ class Disk:
         if plan is not None:
             delay *= plan.slow_multiplier(env.now)
         yield env.timeout(delay)
-
-    def _fail_request(self, request, error):
-        """Complete *request* with an error status.
-
-        The completion event *succeeds* (carrying the errored request) so
-        non-fault-aware call sites keep working; ``media_completion`` fires
-        too, keeping ``write_tracked``/``flush`` waiters live under faults.
-        """
-        request.status = "error"
-        request.error = error
-        self.stats.faults[error] = self.stats.faults.get(error, 0) + 1
-        self._complete(request)
-        self._signal_media(request)
-
-    def _complete(self, request):
-        # The event is detached before it fires: it carries the request as
-        # its value, so a request still holding it would be a reference
-        # cycle, freed only by a full collection.
-        completion, request.completion = request.completion, None
-        completion.succeed(request)
-
-    def _signal_media(self, request):
-        media, request.media_completion = request.media_completion, None
-        if media is not None and not media.triggered:
-            media.succeed(request)
-
-    def _maybe_release_flush_waiters(self):
-        if self._writes_outstanding == 0 and not self._has_pending_writes():
-            waiters, self._flush_waiters = self._flush_waiters, []
-            for waiter in waiters:
-                waiter.succeed()

@@ -58,6 +58,10 @@ PERMANENT_ERRORS = frozenset({BAD_SECTOR, FAIL_STOP})
 _FAULT_DOMAIN = zlib.crc32(b"disk-faults")
 
 
+#: :class:`FaultConfig` fields that name one drive index (-1: none).
+DRIVE_FIELDS = ("slow_disk", "fail_stop_disk", "silent_disk")
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """A machine-level fault scenario (all rates zero == healthy machine).
@@ -95,6 +99,31 @@ class FaultConfig:
     #: own) — the single-bad-drive case parity can fully repair.
     silent_disk: int = -1
 
+    def __post_init__(self):
+        # Fail at construction: an invalid knob would otherwise run to
+        # completion as a healthy (or nonsensical) machine labelled faulty.
+        if not 0.0 <= self.transient_rate <= 1.0:
+            raise ValueError(
+                f"transient_rate must be a probability in [0, 1], "
+                f"got {self.transient_rate}")
+        if self.slow_factor <= 0.0:
+            raise ValueError(
+                f"slow_factor must be > 0, got {self.slow_factor}")
+        for name in ("bad_range_count", "silent_range_count",
+                     "slow_duration"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("bad_range_sectors", "silent_range_sectors"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in DRIVE_FIELDS:
+            if getattr(self, name) < -1:
+                raise ValueError(
+                    f"{name} must be a drive index or -1 (none), "
+                    f"got {getattr(self, name)}")
+
     @property
     def enabled(self):
         """Whether this scenario injects anything at all."""
@@ -102,6 +131,22 @@ class FaultConfig:
                 or (self.slow_disk >= 0 and self.slow_factor != 1.0)
                 or self.fail_stop_disk >= 0
                 or self.silent_range_count > 0)
+
+
+def check_fault_drives(config, n_disks):
+    """Raise ``ValueError`` unless every drive *config* targets exists.
+
+    *config* is a :class:`FaultConfig` or None; each of its
+    :data:`DRIVE_FIELDS` must be -1 (none) or an index below *n_disks*.
+    """
+    if config is None:
+        return
+    for name in DRIVE_FIELDS:
+        index = getattr(config, name)
+        if index >= n_disks:
+            raise ValueError(
+                f"{name}={index} names no drive of {n_disks} "
+                f"(indices 0..{n_disks - 1}, or -1 for none)")
 
 
 class FaultPlan:

@@ -7,15 +7,15 @@ parts, where parallelism lives *inside* the device (channels + a native
 command queue) and the cost structure is page programs, block erases and
 garbage collection instead of seeks.
 
-An :class:`SSD` is duck-compatible with :class:`~repro.disk.drive.Disk` —
-the same ``read`` / ``write`` / ``write_tracked`` / ``submit`` / ``flush``
-surface, the same :class:`~repro.disk.drive.DiskStats` /
+An :class:`SSD` subclasses :class:`~repro.disk.drive.BlockDevice`, the
+front end it shares with :class:`~repro.disk.drive.Disk` — the same
+``read`` / ``write`` / ``write_tracked`` / ``submit`` / ``flush`` surface,
+the same :class:`~repro.disk.drive.DiskStats` /
 :class:`~repro.disk.drive.SessionDiskStats` counters, the same
 :class:`~repro.disk.faults.FaultPlan` hooks — so
 :class:`~repro.machine.machine.Machine`, the shared per-drive IOP queues and
 every file-system implementation run on either device unchanged
-(``Machine(config, device="ssd")``).  The compatibility seam is enforced by
-the parametrized device-contract tests, not by convention.
+(``Machine(config, device="ssd")``).
 
 Component split (after the FTL-SIM exemplar in SNIPPETS.md):
 
@@ -31,8 +31,8 @@ Component split (after the FTL-SIM exemplar in SNIPPETS.md):
   submission queue, so up to that many requests are in service at once; per
   ``lpn % channels`` striping turns concurrent requests into channel-level
   parallelism.  There is no seek-order to optimise (the FTL virtualises
-  addresses), which is exactly the experimental point: an ``SSD`` ignores
-  the drive-queue scheduling policy knob.
+  addresses), which is exactly the experimental point: an ``SSD`` has no
+  drive-queue scheduling policy.
 
 Timing model: a read costs controller overhead + one flash-page read per
 page (channel-parallel within a request) + the SCSI transfer; a destaged
@@ -47,8 +47,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.disk.drive import (READ, WRITE, DiskRequest, DiskStats,
-                              SessionDiskStats)
+from repro.disk.drive import READ, BlockDevice
 from repro.disk.faults import FAIL_STOP
 from repro.disk.specs import HP97560_SPEC
 from repro.sim.events import Event
@@ -434,110 +433,36 @@ class FlashAddressSpace:
         return range(first, last + 1)
 
 
-class SSD:
+class SSD(BlockDevice):
     """A simulated flash drive attached to a SCSI bus on one IOP.
 
-    Drop-in for :class:`~repro.disk.drive.Disk`: same constructor shape
-    (``scheduler`` and ``initial_angle_fraction`` are accepted and ignored —
-    the FTL virtualises addresses, so request order buys nothing and there
-    is no platter angle), same request/stat/fault surface.  Parallelism is
-    internal: ``spec.ncq_depth`` worker processes serve the submission
-    queue concurrently, and each request's pages stripe over
-    ``spec.channels`` single-occupancy channel resources.
+    Shares :class:`~repro.disk.drive.Disk`'s request, stat and fault front
+    end (:class:`~repro.disk.drive.BlockDevice`).  Parallelism is internal:
+    ``spec.ncq_depth`` worker processes serve the submission queue
+    concurrently, and each request's pages stripe over ``spec.channels``
+    single-occupancy channel resources.  There is no drive-queue scheduling
+    policy — the FTL virtualises addresses, so request order buys nothing.
     """
 
-    def __init__(self, env, spec=None, bus_port=None, name="ssd",
-                 scheduler="fcfs", initial_angle_fraction=0.0,
-                 write_buffer_pages=None, fault_plan=None):
-        del scheduler, initial_angle_fraction   # no seek order, no platter
-        self.env = env
-        self.spec = spec if spec is not None else matched_ssd_spec()
-        self.name = name
-        self.bus_port = bus_port
-        self.fault_plan = fault_plan
-        self.geometry = FlashAddressSpace(self.spec)
-        self.ftl = FlashTranslationLayer(
-            self.spec.logical_pages, self.spec.pages_per_block,
-            self.spec.physical_blocks, gc_policy=self.spec.gc_policy,
-            gc_low_water=self.spec.gc_low_water,
-            gc_high_water=self.spec.gc_high_water)
-        self.stats = DiskStats()
-        self.session_stats = {}
+    _queue_type = deque                  # NCQ submission queue (FIFO)
 
+    def __init__(self, env, spec=None, bus_port=None, name="ssd",
+                 write_buffer_pages=None, fault_plan=None):
+        spec = spec if spec is not None else matched_ssd_spec()
+        self.ftl = FlashTranslationLayer(
+            spec.logical_pages, spec.pages_per_block,
+            spec.physical_blocks, gc_policy=spec.gc_policy,
+            gc_low_water=spec.gc_low_water,
+            gc_high_water=spec.gc_high_water)
         self._channels = [Resource(env, capacity=1, name=f"{name}.ch{index}")
-                          for index in range(self.spec.channels)]
-        if write_buffer_pages is None:
-            write_buffer_pages = self.spec.write_cache_pages
-        self.write_buffer_capacity = write_buffer_pages
-        self._write_buffer = deque()          # destage queue of DiskRequest
-        self._buffer_waiters = deque()        # writes waiting for cache space
+                          for index in range(spec.channels)]
         self._buffered_pages = 0
         self._cached_lpns = {}                # lpn -> pending-destage count
-        self._writes_outstanding = 0
-        self._flush_waiters = []
         self._last_lbn = 0
-
-        self._queue = deque()                 # NCQ submission queue (FIFO)
-        self._work = None
-        self._destage_work = None
-        self._workers = [env.process(self._ncq_worker())
-                         for _ in range(self.spec.ncq_depth)]
-        if self.spec.write_cache_enabled:
-            self._destage_process = env.process(self._destage_loop())
-        else:
-            self._destage_process = None
-
-    # -- public API (the Disk contract) -----------------------------------------
-    def read(self, lbn, n_sectors, tag=None, session_id=None):
-        """Submit a read; returns an event fired when data is at the IOP."""
-        return self.submit(DiskRequest(op=READ, lbn=lbn, n_sectors=n_sectors,
-                                       tag=tag, session_id=session_id))
-
-    def write(self, lbn, n_sectors, tag=None, session_id=None):
-        """Submit a write; returns an event fired when the drive accepts the data."""
-        return self.submit(DiskRequest(op=WRITE, lbn=lbn, n_sectors=n_sectors,
-                                       tag=tag, session_id=session_id))
-
-    def write_tracked(self, lbn, n_sectors, tag=None, session_id=None):
-        """Submit a write; returns ``(accepted, on_media)`` events.
-
-        Same semantics as :meth:`repro.disk.drive.Disk.write_tracked`:
-        ``on_media`` fires when this write's pages are programmed to flash.
-        """
-        request = DiskRequest(op=WRITE, lbn=lbn, n_sectors=n_sectors, tag=tag,
-                              session_id=session_id)
-        on_media = request.media_completion = Event(self.env)
-        accepted = self.submit(request)
-        return accepted, on_media
-
-    def submit(self, request):
-        """Queue *request*; returns its completion event."""
-        if request.lbn < 0 \
-                or request.lbn + request.n_sectors > self.geometry.total_sectors:
-            raise ValueError(
-                f"request [{request.lbn}, {request.lbn + request.n_sectors}) "
-                f"outside device of {self.geometry.total_sectors} sectors")
-        if request.n_sectors <= 0:
-            raise ValueError("request must cover at least one sector")
-        request.completion = Event(self.env)
-        request.submit_time = self.env.now
-        self._queue.append(request)
-        self._kick()
-        return request.completion
-
-    def flush(self):
-        """Event that fires once all buffered writes are programmed to flash."""
-        event = Event(self.env)
-        if self._writes_outstanding == 0 and not self._has_pending_writes():
-            event.succeed()
-        else:
-            self._flush_waiters.append(event)
-        return event
-
-    @property
-    def queue_depth(self):
-        """Requests waiting for an NCQ worker (excluding buffered writes)."""
-        return len(self._queue)
+        if write_buffer_pages is None:
+            write_buffer_pages = spec.write_cache_pages
+        super().__init__(env, spec, bus_port, name, fault_plan,
+                         FlashAddressSpace(spec), write_buffer_pages)
 
     @property
     def head_lbn_estimate(self):
@@ -549,17 +474,6 @@ class SSD:
         """
         return self._last_lbn
 
-    def session(self, session_id):
-        """This drive's :class:`SessionDiskStats` for *session_id* (lazily created)."""
-        stats = self.session_stats.get(session_id)
-        if stats is None:
-            stats = self.session_stats[session_id] = SessionDiskStats()
-        return stats
-
-    def release_session(self, session_id):
-        """Drop per-session accounting once the session's result is final."""
-        self.session_stats.pop(session_id, None)
-
     def flash_counters(self):
         """FTL work counters plus device-level cache stats (JSON-friendly)."""
         counters = self.ftl.counters()
@@ -568,18 +482,9 @@ class SSD:
         return counters
 
     # -- the NCQ worker pool -----------------------------------------------------
-    def _kick(self):
-        if self._work is not None and not self._work.triggered:
-            self._work.succeed()
-            self._work = None
-
-    def _kick_destage(self):
-        if self._destage_work is not None and not self._destage_work.triggered:
-            self._destage_work.succeed()
-            self._destage_work = None
-
-    def _has_pending_writes(self):
-        return any(request.op == WRITE for request in self._queue)
+    def _start_workers(self):
+        self._workers = [self.env.process(self._ncq_worker())
+                         for _ in range(self.spec.ncq_depth)]
 
     def _ncq_worker(self):
         while True:
@@ -761,14 +666,6 @@ class SSD:
             self._signal_media(request)
             self._maybe_release_flush_waiters()
 
-    def _account_write(self, request):
-        self.stats.writes += 1
-        self.stats.bytes_written += request.n_bytes
-        if request.session_id is not None:
-            session = self.session(request.session_id)
-            session.writes += 1
-            session.bytes_written += request.n_bytes
-
     def _destage_loop(self):
         env = self.env
         while True:
@@ -804,15 +701,10 @@ class SSD:
         target page's channel — a simplification (real GC spreads over
         channels), deterministic and conservative for the victim channel.
         """
+        if self._lost_at_destage(request):
+            return
         env = self.env
         plan = self.fault_plan
-        if plan is not None and plan.failed_at(env.now):
-            # The device died with this write still cached: data lost.
-            request.status = "error"
-            request.error = FAIL_STOP
-            self.stats.faults["lost_destage"] = \
-                self.stats.faults.get("lost_destage", 0) + 1
-            return
         spec = self.spec
         slow = plan.slow_multiplier(env.now) if plan is not None else 1.0
         per_channel = {}
@@ -827,30 +719,3 @@ class SSD:
         self.stats.transfer_time += sum(per_channel.values())
         self._last_lbn = request.lbn + request.n_sectors
         yield from self._parallel_holds(per_channel)
-
-    # -- failure + completion plumbing -------------------------------------------
-    def _fail_request(self, request, error):
-        """Complete *request* with an error status (same contract as Disk)."""
-        request.status = "error"
-        request.error = error
-        self.stats.faults[error] = self.stats.faults.get(error, 0) + 1
-        self._complete(request)
-        self._signal_media(request)
-
-    def _complete(self, request):
-        # The event is detached before it fires: it carries the request as
-        # its value, so a request still holding it would be a reference
-        # cycle, freed only by a full collection.
-        completion, request.completion = request.completion, None
-        completion.succeed(request)
-
-    def _signal_media(self, request):
-        media, request.media_completion = request.media_completion, None
-        if media is not None and not media.triggered:
-            media.succeed(request)
-
-    def _maybe_release_flush_waiters(self):
-        if self._writes_outstanding == 0 and not self._has_pending_writes():
-            waiters, self._flush_waiters = self._flush_waiters, []
-            for waiter in waiters:
-                waiter.succeed()

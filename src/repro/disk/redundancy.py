@@ -82,6 +82,14 @@ def check_parity_width(n_disks):
             "plus at least two data columns")
 
 
+def check_rebuild_bandwidth(rebuild_bandwidth):
+    """Raise ``ValueError`` for a negative rebuild bandwidth (0: default)."""
+    if rebuild_bandwidth < 0:
+        raise ValueError(
+            f"rebuild_bandwidth must be >= 0 (0: the default), "
+            f"got {rebuild_bandwidth}")
+
+
 class ParityArray:
     """Shared state of one machine's declustered parity array.
 

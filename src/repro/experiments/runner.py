@@ -100,7 +100,13 @@ from repro.patterns import make_pattern
 #:     Memput/Memget inline.  No simulated result moved (the digest matrix
 #:     pins this, retained backlogs past the spawn window included); entries
 #:     are re-stamped because the model sources changed.
-CACHE_SCHEMA_VERSION = 14
+#: v15: ``Disk`` and ``SSD`` share one front end (``BlockDevice``): request
+#:     submission, completion, fault and write-behind plumbing moved into
+#:     the base class verbatim, and ``SSD`` no longer accepts the ignored
+#:     ``scheduler``/``initial_angle_fraction`` arguments.  No simulated
+#:     result moved (the digest matrix pins this); entries are re-stamped
+#:     because the model sources changed.
+CACHE_SCHEMA_VERSION = 15
 
 
 # -- experiment families --------------------------------------------------------

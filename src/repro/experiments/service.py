@@ -15,9 +15,10 @@ like the paper figures.
 
 from dataclasses import dataclass
 
-from repro.disk.faults import FaultConfig
+from repro.disk.faults import FaultConfig, check_fault_drives
 from repro.disk.flash import matched_ssd_spec
-from repro.disk.redundancy import check_parity_width
+from repro.disk.redundancy import check_parity_width, \
+    check_rebuild_bandwidth
 from repro.experiments.config import MEGABYTE
 from repro.experiments.pipeline import service_figure_spec
 from repro.experiments.runner import register_experiment_family
@@ -155,9 +156,11 @@ class ServiceExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        # Fail at construction, not inside the run that builds the array.
+        # Fail at construction, not inside (or silently through) the run.
         if self.redundancy == "parity":
             check_parity_width(self.n_disks)
+        check_fault_drives(self._faults(), self.n_disks)
+        check_rebuild_bandwidth(self.rebuild_bandwidth)
 
     @property
     def pattern(self):
@@ -210,7 +213,12 @@ class ServiceExperimentConfig:
         config builds a machine with no fault plans and a file system with no
         fault policy, bit-identical to pre-fault builds.
         """
-        config = FaultConfig(
+        config = self._faults()
+        return config if config.enabled else None
+
+    def _faults(self):
+        """Every fault knob as a :class:`FaultConfig`, enabled or not."""
+        return FaultConfig(
             transient_rate=self.fault_transient_rate,
             bad_range_count=self.fault_bad_ranges,
             bad_range_sectors=self.fault_bad_range_sectors,
@@ -224,7 +232,6 @@ class ServiceExperimentConfig:
             silent_range_sectors=self.fault_silent_range_sectors,
             silent_disk=self.fault_silent_disk,
         )
-        return config if config.enabled else None
 
     def machine_config(self):
         return MachineConfig(

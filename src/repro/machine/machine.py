@@ -1,9 +1,10 @@
 """Builds the whole simulated machine from a :class:`MachineConfig`."""
 
 from repro.disk.drive import Disk
-from repro.disk.faults import build_fault_plan
+from repro.disk.faults import build_fault_plan, check_fault_drives
 from repro.disk.flash import SSD, matched_ssd_spec
-from repro.disk.redundancy import REDUNDANCY_MODES, ParityArray, ParityDisk
+from repro.disk.redundancy import (REDUNDANCY_MODES, ParityArray,
+                                   ParityDisk, check_rebuild_bandwidth)
 from repro.disk.shared_queue import SharedDiskQueue
 from repro.machine.bus import ScsiBus
 from repro.machine.node import ComputeNode, IONode
@@ -60,6 +61,8 @@ class Machine:
             raise ValueError(
                 f"unknown redundancy {redundancy!r} "
                 f"(choose from {REDUNDANCY_MODES})")
+        check_fault_drives(fault_config, config.n_disks)
+        check_rebuild_bandwidth(rebuild_bandwidth)
         self.config = config
         self.seed = seed
         self.device = device

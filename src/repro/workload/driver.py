@@ -321,71 +321,55 @@ class ServiceResult:
         Estimated from the mergeable quantile sketch — within the documented
         relative error bound (:func:`repro.workload.aggregate.
         relative_error_bound`) of the sorted-list answer, at O(1) memory in
-        the request count.  Results built without a sketch (e.g. assembled by
-        hand in tests) fall back to the exact sorted-list percentile of the
-        retained records.
+        the request count.
         """
-        if self.response_sketch:
-            return self._sketch("response_sketch").quantile(fraction)
-        return percentile(self.response_times, fraction)
+        return self._sketch("response_sketch").quantile(fraction)
 
     def service_percentile(self, fraction):
         """Admission-to-completion time percentile, from the sketch."""
-        if self.service_sketch:
-            return self._sketch("service_sketch").quantile(fraction)
-        return percentile(self.service_times, fraction)
+        return self._sketch("service_sketch").quantile(fraction)
 
     @property
     def mean_response_time(self):
-        if self.response_sketch:
-            return self._sketch("response_sketch").mean
-        times = self.response_times
-        return sum(times) / len(times) if times else 0.0
+        return self._sketch("response_sketch").mean
 
     # -- fault accounting --------------------------------------------------------
-    def _aggregate(self, name, record_key):
-        """A fold total, falling back to summing retained records for
-        results assembled without aggregates (e.g. by hand in tests)."""
-        if self.aggregates:
-            return self.aggregates.get(name, 0)
-        return sum(record.get(record_key, 0) for record in self.requests)
-
     @property
     def failed_bytes(self):
         """Read bytes requested but never delivered (given up under faults)."""
-        return self._aggregate("bytes_failed", "bytes_failed")
+        return self.aggregates.get("bytes_failed", 0)
 
     @property
     def lost_bytes(self):
         """Write bytes shipped over the wire but never made durable."""
-        return self._aggregate("bytes_lost", "bytes_lost")
+        return self.aggregates.get("bytes_lost", 0)
 
     @property
     def total_retries(self):
         """Disk requests re-submitted by the retry policy, whole run."""
-        return self._aggregate("retries", "retries")
+        return self.aggregates.get("retries", 0)
 
     @property
     def degraded_requests(self):
         """Number of requests that completed degraded (partial data)."""
-        return self._aggregate("degraded", "degraded")
+        return self.aggregates.get("degraded", 0)
 
     # -- admission accounting ----------------------------------------------------
     @property
     def shed_bytes(self):
         """Bytes of sessions rejected at admission (deadline drops + load
         shedding) — requested work the server explicitly declined."""
-        return self._aggregate("bytes_shed", "bytes_shed")
+        return self.aggregates.get("bytes_shed", 0)
 
     @property
     def dropped_requests(self):
         """Sessions dropped by the admission policy (unmeetable deadlines)."""
-        return self._aggregate("dropped", "dropped")
+        return self.aggregates.get("dropped", 0)
 
     @property
     def shed_requests(self):
         """Sessions shed by the controller's SLO load shedder."""
-        return self._aggregate("shed", "shed")
+        return self.aggregates.get("shed", 0)
 
     @property
     def goodput(self):
@@ -410,21 +394,15 @@ class ServiceResult:
         rejected sessions' bytes do too: ``bytes_moved + bytes_failed +
         bytes_shed == bytes_requested``.  The check is folded per session at
         its terminal event (so streaming runs keep it without retaining
-        records); results assembled without aggregates fall back to checking
-        the retained records.
+        records).
         """
-        if self.aggregates:
-            totals_balance = (
-                self.aggregates.get("bytes_moved", 0)
-                + self.aggregates.get("bytes_failed", 0)
-                + self.aggregates.get("bytes_shed", 0)
-                == self.aggregates.get("bytes_requested", 0))
-            return bool(self.aggregates.get("conserved", False)) \
-                and totals_balance
-        return all(record["bytes_moved"] + record.get("bytes_failed", 0)
-                   + record.get("bytes_shed", 0)
-                   == record["bytes_requested"]
-                   for record in self.requests)
+        aggregates = self.aggregates
+        totals_balance = (
+            aggregates.get("bytes_moved", 0)
+            + aggregates.get("bytes_failed", 0)
+            + aggregates.get("bytes_shed", 0)
+            == aggregates.get("bytes_requested", 0))
+        return bool(aggregates.get("conserved", False)) and totals_balance
 
     def summary(self):
         return (f"{self.method:12s} {self.arrival:8s} K={self.concurrency} "

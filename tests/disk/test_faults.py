@@ -6,6 +6,7 @@ from repro.disk import Disk, HP97560_SPEC
 from repro.disk.drive import BusPort, DiskRequest
 from repro.disk.faults import (
     BAD_SECTOR,
+    DRIVE_FIELDS,
     FAIL_STOP,
     PERMANENT_ERRORS,
     TRANSIENT,
@@ -13,8 +14,11 @@ from repro.disk.faults import (
     FaultPlan,
     FaultPolicy,
     build_fault_plan,
+    check_fault_drives,
 )
+from repro.machine import MachineConfig
 from repro.sim import Environment, Resource
+from repro.workload import ServiceWorkload, run_service
 
 SECTORS_PER_BLOCK = 16
 TOTAL_SECTORS = HP97560_SPEC.total_sectors
@@ -268,3 +272,54 @@ class TestPlanDisablesFusion:
         disk = make_disk(env, fault_plan=plan)
         request = one_request(env, disk)
         assert request.status == "ok"
+
+
+class TestFaultConfigValidation:
+    """Invalid fault knobs fail at construction, not as a mislabelled run."""
+
+    #: the issue's tiny machine: four drives, indices 0..3
+    MACHINE = MachineConfig(n_cps=2, n_iops=1, n_disks=4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("transient_rate", 2.0),
+        ("transient_rate", -0.1),
+        ("slow_factor", 0.0),
+        ("bad_range_count", -1),
+        ("bad_range_sectors", 0),
+        ("slow_duration", -1.0),
+        ("silent_range_count", -1),
+        ("silent_range_sectors", 0),
+        ("slow_disk", -2),
+        ("fail_stop_disk", -2),
+        ("silent_disk", -2),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        FaultConfig(transient_rate=1.0, slow_factor=0.5, bad_range_sectors=1,
+                    silent_range_sectors=1, slow_disk=-1, fail_stop_disk=0)
+
+    @pytest.mark.parametrize("field", DRIVE_FIELDS)
+    def test_drive_index_checked_against_drive_count(self, field):
+        config = FaultConfig(**{field: 4})
+        with pytest.raises(ValueError, match=field):
+            check_fault_drives(config, 4)
+        check_fault_drives(config, 5)
+        check_fault_drives(None, 0)
+
+    @pytest.mark.parametrize("field", DRIVE_FIELDS)
+    def test_run_service_rejects_a_missing_drive(self, field):
+        workload = ServiceWorkload(n_requests=2, n_files=1,
+                                   file_size=64 * 1024, seed=1)
+        with pytest.raises(ValueError, match=field):
+            run_service("traditional", workload, machine_config=self.MACHINE,
+                        fault_config=FaultConfig(**{field: 9}))
+
+    def test_run_service_rejects_negative_rebuild_bandwidth(self):
+        workload = ServiceWorkload(n_requests=2, n_files=1,
+                                   file_size=64 * 1024, seed=1)
+        with pytest.raises(ValueError, match="rebuild_bandwidth"):
+            run_service("traditional", workload, machine_config=self.MACHINE,
+                        redundancy="parity", rebuild_bandwidth=-1.0)

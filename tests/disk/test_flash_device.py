@@ -45,14 +45,6 @@ class TestConstruction:
         assert ssd.spec.sequential_read_rate == pytest.approx(
             matched_ssd_spec().sequential_read_rate)
 
-    def test_disk_constructor_knobs_are_accepted_and_ignored(self):
-        # Machine passes scheduler/initial_angle_fraction to any device;
-        # flash has no seek order and no platter.
-        env = Environment()
-        ssd = make_ssd(env, scheduler="cscan", initial_angle_fraction=0.73)
-        request = one_request(env, ssd)
-        assert request.status == "ok"
-
     def test_geometry_quacks_like_a_disk_geometry(self):
         env = Environment()
         ssd = make_ssd(env)

@@ -55,6 +55,28 @@ class TestConfigPlumbing:
         tiny_config(n_disks=2)              # no parity: two drives are fine
         tiny_config(redundancy="parity", n_disks=3)
 
+    @pytest.mark.parametrize("field, match", [
+        ("fault_slow_disk", "slow_disk"),
+        ("fault_fail_stop_disk", "fail_stop_disk"),
+        ("fault_silent_disk", "silent_disk"),
+    ])
+    def test_fault_drive_outside_the_machine_fails_at_construction(
+            self, field, match):
+        # Checked even when the knob enables nothing (slow_factor 1.0).
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**{field: 4})
+        tiny_config(**{field: 3})
+
+    @pytest.mark.parametrize("field, value", [
+        ("fault_transient_rate", 2.0),
+        ("fault_slow_factor", 0.0),
+        ("rebuild_bandwidth", -1.0),
+    ])
+    def test_invalid_fault_and_rebuild_values_fail_at_construction(
+            self, field, value):
+        with pytest.raises(ValueError):
+            tiny_config(**{field: value})
+
     def test_silent_fields_build_a_fault_config(self):
         config = tiny_config(fault_silent_ranges=2,
                              fault_silent_range_sectors=128)

@@ -1,11 +1,12 @@
 """The device contract: every device-facing behavior, on disk AND flash.
 
-The flash SSD is duck-compatible with the HP 97560 disk — same request,
-counter, session and fault surface — and ``Machine(device=...)`` switches
-between them.  That seam is enforced here by running the device-facing
-integration behaviors (conservation, session-scoped counters, shared-queue
-merge and late-join, fault-plan determinism, end-to-end transfers) over
-``device in {disk, ssd}``, not by convention.
+The flash SSD and the HP 97560 disk share one front end, ``BlockDevice`` —
+same request, counter, session and fault surface — and
+``Machine(device=...)`` switches between them.  The front end is written
+once (neither subclass redefines it), and the device-facing integration
+behaviors (conservation, session-scoped counters, shared-queue merge and
+late-join, fault-plan determinism, end-to-end transfers) run over
+``device in {disk, ssd}``.
 """
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro import FileSystem, Machine, MachineConfig, make_filesystem, \
     make_pattern
 from repro.disk import SSD, Disk, HP97560_SPEC, SSDSpec, SharedDiskQueue
-from repro.disk.drive import BusPort
+from repro.disk.drive import BlockDevice, BusPort
 from repro.disk.faults import FAIL_STOP, FaultConfig, build_fault_plan
 from repro.sim import Environment, Resource
 from repro.sim.events import AllOf
@@ -38,9 +39,23 @@ def make_device(env, device, **kwargs):
     return SSD(env, spec=TINY_SSD, bus_port=port, **kwargs)
 
 
-# -- the duck-typing surface itself ------------------------------------------
+#: The front end ``BlockDevice`` owns; no device model may redefine it.
+FRONT_END = ("read", "write", "write_tracked", "submit", "flush",
+             "queue_depth", "session", "release_session", "_kick",
+             "_kick_destage", "_has_pending_writes", "_account_write",
+             "_fail_request", "_complete", "_signal_media",
+             "_maybe_release_flush_waiters", "_lost_at_destage")
+
+
+# -- the contract surface itself -----------------------------------------------
 
 class TestContractSurface:
+    @pytest.mark.parametrize("cls", [Disk, SSD])
+    def test_front_end_is_written_once(self, cls):
+        assert issubclass(cls, BlockDevice)
+        assert set(FRONT_END).issubset(vars(BlockDevice))
+        assert not set(FRONT_END) & set(vars(cls))
+
     @pytest.mark.parametrize("device", DEVICES)
     def test_device_exposes_the_full_disk_api(self, device):
         env = Environment()

@@ -163,6 +163,35 @@ class TestStalenessHelpers:
         assert module_resolves("repro.sim.engine.X", root)
         assert not module_resolves("repro.gone.engine.X", root)
 
+    def test_trailing_attribute_must_be_bound_in_the_module(self, tmp_path):
+        root = make_repo(tmp_path)
+        assert module_resolves("repro.sim.engine.run", root)
+        assert not module_resolves("repro.sim.engine.Missing", root)
+        # a name used only inside a function body is not a module attribute
+        assert not module_resolves("repro.sim.engine.until", root)
+
+    def test_package_attributes_come_from_its_init(self, tmp_path):
+        root = make_repo(tmp_path)
+        write(root / "src" / "repro" / "disk" / "__init__.py",
+              "from repro.disk.drive import (Disk,  # noqa\n"
+              "                              BusPort as Port)\n"
+              "import numpy.random\n"
+              "LIMIT: int = 3\n"
+              "A, B = 1, 2\n\n\n"
+              "class Spec:\n    inner = 1\n")
+        for name in ("Disk", "Port", "numpy", "LIMIT", "A", "B", "Spec"):
+            assert module_resolves(f"repro.disk.{name}", root), name
+        for name in ("BusPort", "random", "inner", "Gone"):
+            assert not module_resolves(f"repro.disk.{name}", root), name
+
+    def test_stale_attribute_reported_in_docs(self, tmp_path):
+        root = make_repo(tmp_path)
+        doc = write(root / "docs" / "a.md",
+                    "`repro.sim.engine.X` and `repro.sim.engine.Y`")
+        assert stale_references(doc, root=root, flags=set(),
+                                figures=set()) == [
+            (1, "module", "repro.sim.engine.Y")]
+
     def test_two_segment_typo_is_not_excused_as_attribute(self, tmp_path):
         # `repro.<typo>` must not pass just because the top-level package
         # exists: the attribute fallback needs a two-segment module prefix.

@@ -20,7 +20,8 @@ tree (no imports, so it runs in a bare CI image):
   ``benchmarks/``, a pytest node id) must exist on disk;
 * *module paths* — dotted ``repro.*`` references (``repro.workload.driver``)
   must resolve to a module under ``src/``, allowing one trailing attribute
-  segment (``repro.experiments.runner.CACHE_SCHEMA_VERSION``);
+  segment (``repro.experiments.runner.CACHE_SCHEMA_VERSION``) that the
+  module binds at top level (a ``def``, ``class``, assignment or import);
 * *CLI flags and figure names* — every ``--flag`` mentioned in the docs must
   appear verbatim in some Python source under ``src/``, ``tools/``,
   ``benchmarks/``, ``perfbench/`` or ``examples/`` (or be a known
@@ -171,26 +172,61 @@ def tree_path_exists(reference, root):
     return (Path(root) / path).exists()
 
 
+#: Module-level bindings, read textually (column-0 statements only).
+_TOP_DEF_RE = re.compile(r"^(?:async\s+def|def|class)\s+(\w+)", re.M)
+_TOP_ASSIGN_RE = re.compile(r"^(\w+(?:\s*,\s*\w+)*)\s*(?::|=(?!=))", re.M)
+_TOP_IMPORT_RE = re.compile(
+    r"^(?:from\s+[\w.]+\s+)?import\s+(\([^)]*\)|[^\n]*)", re.M)
+
+
+def top_level_names(source):
+    """Names *source* binds at module level: ``def``, ``class``, assignment
+    (plain, annotated or tuple) or import.
+
+    A textual approximation — no parsing, no imports — so a column-0 line
+    inside a docstring can add a spurious name, but a name bound only in a
+    function body is never reported.
+    """
+    names = set(_TOP_DEF_RE.findall(source))
+    for targets in _TOP_ASSIGN_RE.findall(source):
+        names.update(target.strip() for target in targets.split(","))
+    for clause in _TOP_IMPORT_RE.findall(source):
+        clause = re.sub(r"#[^\n]*", "", clause).strip("()")
+        for item in clause.split(","):
+            words = item.split()
+            if words:
+                # ``import a.b`` binds ``a``; ``... as c`` binds ``c``.
+                names.add(words[-1].split(".")[0])
+    return names
+
+
+def _module_source(base):
+    """The source file of module or package *base* (a path without suffix)."""
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.exists():
+            return candidate
+    return None
+
+
 def module_resolves(reference, root):
     """Whether a dotted ``repro.*`` span resolves under ``src/``.
 
     The full dotted path may name a module or a package; one trailing
     segment may instead be an attribute (class, function, constant) of the
-    resolved module — existence of the attribute itself is not checked
-    (that would require importing the tree), only the module prefix.  The
-    attribute fallback needs a prefix of at least two segments: otherwise
-    every ``repro.<typo>`` would pass via the top-level package.
+    resolved module, which must then be bound at that module's top level
+    (:func:`top_level_names`, checked textually without importing the
+    tree).  The attribute fallback needs a prefix of at least two segments:
+    otherwise every ``repro.<typo>`` would pass via the top-level package.
     """
     src = Path(root) / "src"
     parts = reference.split(".")
-    candidates = [parts]
-    if len(parts) > 2:
-        candidates.append(parts[:-1])
-    for candidate in candidates:
-        base = src.joinpath(*candidate)
-        if base.with_suffix(".py").exists() or (base / "__init__.py").exists():
-            return True
-    return False
+    if _module_source(src.joinpath(*parts)) is not None:
+        return True
+    if len(parts) <= 2:
+        return False
+    source = _module_source(src.joinpath(*parts[:-1]))
+    return source is not None \
+        and parts[-1] in top_level_names(source.read_text(encoding="utf-8"))
 
 
 def _python_sources(root):
