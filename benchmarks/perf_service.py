@@ -30,9 +30,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.experiments.config import build_machine_config  # noqa: E402
 from repro.experiments.service import (  # noqa: E402
-    ServiceExperimentConfig,
     run_service_experiment,
+    service_config,
 )
 from repro.workload import run_service  # noqa: E402
 
@@ -69,8 +70,7 @@ def run_case(overrides, seed=3, trials=2):
         throughputs = []
         start = time.perf_counter()
         for trial in range(trials):
-            config = ServiceExperimentConfig(method=method, seed=seed,
-                                             **overrides)
+            config = service_config(method=method, seed=seed, **overrides)
             result = run_service_experiment(config, seed=seed + trial)
             if not result.conserves_bytes():
                 raise AssertionError(
@@ -95,13 +95,12 @@ def run_eight_byte_case(overrides, seed=3, trials=1):
     is >= 5x).
     """
     out = run_case(overrides, seed=seed, trials=trials)
-    config = ServiceExperimentConfig(method="traditional", seed=seed,
-                                     **overrides)
+    config = service_config(method="traditional", seed=seed, **overrides)
     start = time.perf_counter()
     for trial in range(trials):
         result = run_service(
-            "traditional", config.workload(),
-            machine_config=config.machine_config(), seed=seed + trial,
+            "traditional", config.workload,
+            machine_config=build_machine_config(config), seed=seed + trial,
             disk_scheduler=config.disk_scheduler, batch_requests=False)
         if not result.conserves_bytes():
             raise AssertionError("byte conservation violated (unbatched)")

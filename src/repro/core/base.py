@@ -338,12 +338,12 @@ class CollectiveFileSystem:
             session.count("degraded")
 
 
-def make_filesystem(method, machine, striped_file=None, **kwargs):
-    """Factory used by the experiment harness and examples.
+def filesystem_class(method):
+    """``(class, default keyword arguments)`` of collective-I/O *method*.
 
     *method* is one of ``traditional`` (aliases ``tc``, ``caching``),
     ``disk-directed`` (aliases ``ddio``, ``ddio-sort``), ``ddio-nosort``, or
-    ``two-phase`` (alias ``2p``).
+    ``two-phase`` (alias ``2p``); any other name raises ``ValueError``.
     """
     # Imported here to avoid an import cycle (the implementations subclass us).
     from repro.core.ddio import DiskDirectedFS
@@ -352,13 +352,17 @@ def make_filesystem(method, machine, striped_file=None, **kwargs):
 
     key = method.lower()
     if key in ("traditional", "tc", "caching", "traditional-caching"):
-        return TraditionalCachingFS(machine, striped_file, **kwargs)
+        return TraditionalCachingFS, {}
     if key in ("disk-directed", "ddio", "ddio-sort", "disk-directed-sorted"):
-        kwargs.setdefault("presort", True)
-        return DiskDirectedFS(machine, striped_file, **kwargs)
+        return DiskDirectedFS, {"presort": True}
     if key in ("ddio-nosort", "disk-directed-nosort", "disk-directed-unsorted"):
-        kwargs.setdefault("presort", False)
-        return DiskDirectedFS(machine, striped_file, **kwargs)
+        return DiskDirectedFS, {"presort": False}
     if key in ("two-phase", "2p", "twophase"):
-        return TwoPhaseFS(machine, striped_file, **kwargs)
+        return TwoPhaseFS, {}
     raise ValueError(f"unknown collective-I/O method {method!r}")
+
+
+def make_filesystem(method, machine, striped_file=None, **kwargs):
+    """Factory used by the experiment harness and examples."""
+    implementation, defaults = filesystem_class(method)
+    return implementation(machine, striped_file, **{**defaults, **kwargs})

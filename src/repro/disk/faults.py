@@ -183,8 +183,8 @@ class FaultPlan:
         # ranges and per-request transients — is byte-identical to plans
         # built before silent corruption existed.
         silent = []
-        silent_count = getattr(config, "silent_range_count", 0)
-        if silent_count > 0 and getattr(config, "silent_disk", -1) >= 0 \
+        silent_count = config.silent_range_count
+        if silent_count > 0 and config.silent_disk >= 0 \
                 and config.silent_disk != disk_index:
             silent_count = 0
         if silent_count > 0:

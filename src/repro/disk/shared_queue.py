@@ -52,6 +52,12 @@ class _QueuedJob:
         self.submit_time = submit_time
 
 
+def check_workers(workers):
+    """Raise ``ValueError`` unless a shared queue can run *workers* jobs."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+
+
 class SharedDiskQueue:
     """IOP-level request queue shared by every session using one drive.
 
@@ -64,8 +70,7 @@ class SharedDiskQueue:
     """
 
     def __init__(self, env, disk, policy="cscan", workers=2):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
+        check_workers(workers)
         self.env = env
         self.disk = disk
         self.policy = make_scheduler(policy) if isinstance(policy, str) else policy

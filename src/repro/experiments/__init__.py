@@ -29,6 +29,7 @@ from repro.experiments.runner import (
 from repro.experiments.service import (
     ServiceExperimentConfig,
     run_service_experiment,
+    service_config,
     service_figure,
 )
 from repro.experiments.figures import (
@@ -59,6 +60,7 @@ __all__ = [
     "run_service_experiment",
     "run_trial",
     "run_trials",
+    "service_config",
     "service_figure",
     "sweep",
     "sweep_parallel",

@@ -4,7 +4,11 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 
-from repro.disk.redundancy import check_parity_width
+from repro.core.base import filesystem_class
+from repro.fs.layout import layout_class
+from repro.machine import MachineConfig
+from repro.machine.machine import check_machine_options
+from repro.patterns.registry import parse_pattern_name
 
 #: 2^20 bytes, the paper's "Mbyte".
 MEGABYTE = 2 ** 20
@@ -46,9 +50,12 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        # Fail at construction, not inside the run that builds the array.
-        if self.redundancy == "parity":
-            check_parity_width(self.n_disks)
+        # Fail at construction, not inside the sweep that runs the point.
+        check_machine_options(build_machine_config(self), self.disk_scheduler,
+                              device=self.device, redundancy=self.redundancy)
+        filesystem_class(self.method)
+        layout_class(self.layout)
+        parse_pattern_name(self.pattern)
 
     def with_overrides(self, **kwargs):
         """Copy with some fields replaced."""
@@ -59,6 +66,12 @@ class ExperimentConfig:
         return (f"{self.method} {self.pattern} rs={self.record_size} "
                 f"{self.layout} {self.file_size // MEGABYTE} MB "
                 f"cps={self.n_cps} iops={self.n_iops} disks={self.n_disks}")
+
+
+def build_machine_config(config):
+    """Translate an :class:`ExperimentConfig` into a :class:`MachineConfig`."""
+    return MachineConfig(n_cps=config.n_cps, n_iops=config.n_iops,
+                         n_disks=config.n_disks, block_size=config.block_size)
 
 
 @dataclass

@@ -240,10 +240,8 @@ def _artifact_figures():
 
 
 def _progress_printer(index, total, summary):
-    row = summary.as_row()
-    print(f"  [{index + 1}/{total}] {row['method']:22s} {row['pattern']:4s} "
-          f"{row['layout']:10s} rs={row['record_size']:<5d} "
-          f"-> {row['throughput_mb']:.2f} MB/s", file=sys.stderr)
+    print(f"  [{index + 1}/{total}] {summary.config.describe()} "
+          f"-> {summary.mean_throughput_mb:.2f} MB/s", file=sys.stderr)
 
 
 def main(argv=None):

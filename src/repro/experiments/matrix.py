@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_trial
-from repro.experiments.service import ServiceExperimentConfig
+from repro.experiments.service import service_config
 
 #: Where the pinned digests live (committed; read by the regression test).
 DIGEST_PATH = (Path(__file__).resolve().parents[3]
@@ -61,7 +61,7 @@ def _single(label, **overrides):
 def _service(label, **overrides):
     fields = dict(_SERVICE)
     fields.update(overrides)
-    return ServiceExperimentConfig(label=label, **fields)
+    return service_config(label=label, **fields)
 
 
 def matrix_trials():
@@ -153,17 +153,17 @@ def matrix_trials():
     add(_service("svc:disk-directed:priority", admission_policy="priority",
                  priority_levels=2))
     add(_service("svc:disk-directed:controller",
-                 controller_target_p99=2.0, controller_interval=0.25))
+                 target_p99=2.0, interval=0.25))
     # Every fault scenario class (deterministic per-(seed, disk) plans).
     for method in _METHODS:
         add(_service(f"svc:{method}:transient", method=method,
-                     fault_transient_rate=0.05))
-    add(_service("svc:disk-directed:badrange", fault_bad_ranges=1))
-    add(_service("svc:disk-directed:failstop", fault_fail_stop_disk=0,
-                 fault_fail_stop_time=0.05, on_fault="degrade"))
-    add(_service("svc:disk-directed:failslow", fault_slow_factor=4.0,
-                 fault_slow_disk=0, fault_slow_start=0.0,
-                 fault_slow_duration=1.0))
+                     transient_rate=0.05))
+    add(_service("svc:disk-directed:badrange", bad_range_count=1))
+    add(_service("svc:disk-directed:failstop", fail_stop_disk=0,
+                 fail_stop_time=0.05, on_fault="degrade"))
+    add(_service("svc:disk-directed:failslow", slow_factor=4.0,
+                 slow_disk=0, slow_start=0.0,
+                 slow_duration=1.0))
     # A second seed on the core service cells.
     for method in _METHODS:
         add(_service(f"svc:{method}:poisson", method=method,
@@ -182,22 +182,22 @@ def matrix_trials():
         add(_service(f"svc:{method}:parity-failstop", method=method,
                      n_disks=4, redundancy="parity",
                      rebuild_bandwidth=2.0 * 1024 * 1024,
-                     fault_fail_stop_disk=0, fault_fail_stop_time=0.05))
+                     fail_stop_disk=0, fail_stop_time=0.05))
     # Silent corruption over the whole drive (sectors >= capacity pins the
     # range to the full LBN span): undetected, detected, detected+repaired.
-    add(_service("svc:disk-directed:silent", fault_silent_ranges=1,
-                 fault_silent_range_sectors=10 ** 9))
-    add(_service("svc:disk-directed:silent-chk", fault_silent_ranges=1,
-                 fault_silent_range_sectors=10 ** 9, checksums=True,
+    add(_service("svc:disk-directed:silent", silent_range_count=1,
+                 silent_range_sectors=10 ** 9))
+    add(_service("svc:disk-directed:silent-chk", silent_range_count=1,
+                 silent_range_sectors=10 ** 9, checksums=True,
                  on_fault="degrade"))
     add(_service("svc:disk-directed:silent-chk-parity", n_disks=4,
-                 redundancy="parity", checksums=True, fault_silent_ranges=1,
-                 fault_silent_range_sectors=10 ** 9))
+                 redundancy="parity", checksums=True, silent_range_count=1,
+                 silent_range_sectors=10 ** 9))
     # One corrupt drive only: clean survivors, so parity repairs every
     # detected read instead of giving the stripe up.
     add(_service("svc:disk-directed:silent-disk0-repair", n_disks=4,
-                 redundancy="parity", checksums=True, fault_silent_ranges=1,
-                 fault_silent_range_sectors=10 ** 9, fault_silent_disk=0))
+                 redundancy="parity", checksums=True, silent_range_count=1,
+                 silent_range_sectors=10 ** 9, silent_disk=0))
 
     # -- flash, the degraded array and one-block sessions (appended; the
     # 77 trials above pin every disk-backed cell) ---------------------------
@@ -214,11 +214,11 @@ def matrix_trials():
                      size_distribution="pareto", max_file_size=256 * 1024,
                      concurrency=4, arrival_rate=20.0,
                      redundancy="parity", checksums=True,
-                     fault_slow_factor=4.0, fault_slow_disk=1,
-                     fault_slow_duration=1e9, fault_silent_ranges=1,
-                     fault_silent_range_sectors=10 ** 9, fault_silent_disk=2,
-                     controller_target_p99=1.0, controller_interval=0.5,
-                     controller_shed=True, controller_shed_age=1.0))
+                     slow_factor=4.0, slow_disk=1,
+                     slow_duration=1e9, silent_range_count=1,
+                     silent_range_sectors=10 ** 9, silent_disk=2,
+                     target_p99=1.0, interval=0.5,
+                     shed=True, shed_age=1.0))
     # One 8 KB block per session on four disks: the per-session fast path,
     # where most drives hold no block of the file.
     for method in _METHODS:

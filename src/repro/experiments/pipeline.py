@@ -94,7 +94,7 @@ class FigureSpec:
     def write(self, json_path, sample, call, rows, extras):
         """Write the JSON artifact of one run of the figure."""
         derived = self.derived(sample, call) if self.derived else {}
-        source = {**dataclasses.asdict(sample), **call, **derived}
+        source = {**_flattened(dataclasses.asdict(sample)), **call, **derived}
         config = {key: source[key] for key in self.artifact}
         tables = {"rows": rows, **extras,
                   **{key: probe() for key, probe in self.probes}}
@@ -136,6 +136,13 @@ def regenerate_command(name, function, call):
     beyond = ", ".join(key for key in changed if key not in CLI_ARGUMENTS)
     return (f"PYTHONPATH=src python -c {quoted}  # python -m "
             f"repro.experiments.figures {name} cannot pass {beyond}")
+
+
+def _flattened(fields):
+    """*fields* with each sub-config dict lifted one level (own fields win)."""
+    nested = [value for value in fields.values() if isinstance(value, dict)]
+    return {key: value for config in (*nested, fields)
+            for key, value in config.items() if not isinstance(value, dict)}
 
 
 def _rounded(row):

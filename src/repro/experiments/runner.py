@@ -23,9 +23,10 @@ from pathlib import Path
 
 from repro.core import make_filesystem
 from repro.core.result import TransferResult
-from repro.experiments.config import ExperimentConfig, TrialSummary
+from repro.experiments.config import (ExperimentConfig, TrialSummary,
+                                      build_machine_config)
 from repro.fs import FileSystem
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine
 from repro.patterns import make_pattern
 
 #: Bump to invalidate every cache entry when a model change alters results.
@@ -106,7 +107,9 @@ from repro.patterns import make_pattern
 #:     ``scheduler``/``initial_angle_fraction`` arguments.  No simulated
 #:     result moved (the digest matrix pins this); entries are re-stamped
 #:     because the model sources changed.
-CACHE_SCHEMA_VERSION = 15
+#: v16: ``ServiceExperimentConfig`` holds its workload, fault and controller
+#:     configs whole, so the key's payload nests them.  No result moved.
+CACHE_SCHEMA_VERSION = 16
 
 
 # -- experiment families --------------------------------------------------------
@@ -137,16 +140,6 @@ def run_trial(config, seed=None):
             f"{type(config).__name__} is not a registered experiment family "
             f"(known: {sorted(cls.__name__ for cls in _TRIAL_RUNNERS)})")
     return run_fn(config, seed)
-
-
-def build_machine_config(config):
-    """Translate an :class:`ExperimentConfig` into a :class:`MachineConfig`."""
-    return MachineConfig(
-        n_cps=config.n_cps,
-        n_iops=config.n_iops,
-        n_disks=config.n_disks,
-        block_size=config.block_size,
-    )
 
 
 def run_experiment(config, seed=None):
@@ -183,14 +176,16 @@ register_experiment_family(ExperimentConfig, run_experiment, TransferResult)
 def trial_cache_key(config, seed):
     """Stable content hash identifying one (configuration, trial seed) result.
 
-    The ``label`` field is cosmetic and the ``seed`` field is superseded by
-    the effective trial seed, so neither participates in the key.  The config
-    type participates, so two families whose configs happen to share field
-    values can never collide.
+    The ``label`` field is cosmetic and the ``seed`` field (and a service
+    workload's, which is never used) is superseded by the effective trial
+    seed, so neither participates in the key.  The config type participates,
+    so two families whose configs happen to share field values can never
+    collide.
     """
     payload = asdict(config)
     payload.pop("label", None)
     payload.pop("seed", None)
+    payload.get("workload", {}).pop("seed", None)
     payload["config_type"] = type(config).__name__
     payload["trial_seed"] = seed
     payload["schema"] = CACHE_SCHEMA_VERSION
@@ -381,18 +376,20 @@ def trial_cost_estimate(config):
     longest-first with one job per pool task (work stealing) keeps such
     stragglers from serialising the tail of a parallel sweep.
 
-    The estimate is a heuristic over fields common to the experiment
-    families; it influences *scheduling order only* — results are identical
-    for any order.
+    The estimate is a heuristic over the families' file size, request count
+    and record sizes; it influences *scheduling order only* — results are
+    identical for any order.
     """
-    bytes_per_trial = getattr(config, "file_size", 1 << 20) \
-        * max(1, getattr(config, "n_requests", 1))
-    record_sizes = tuple(getattr(config, "record_sizes", ()) or ()) \
-        or (getattr(config, "record_size", 8192),)
+    if isinstance(config, ExperimentConfig):
+        bytes_per_trial = config.file_size
+        record_sizes = (config.record_size,)
+    else:
+        workload = config.workload
+        bytes_per_trial = workload.file_size * workload.n_requests
+        record_sizes = workload.effective_record_sizes
     smallest_record = max(1, min(record_sizes))
     cost = float(bytes_per_trial)
-    if str(getattr(config, "method", "")).startswith("traditional") \
-            and smallest_record < 4096:
+    if config.method.startswith("traditional") and smallest_record < 4096:
         # Per-record request streams: even simulator-batched, small records
         # multiply the CP/IOP protocol work per block.
         cost *= 4096 / smallest_record

@@ -13,16 +13,17 @@ cache), so ``ddio-figures service --workers 4 --cache DIR`` works exactly
 like the paper figures.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-from repro.disk.faults import FaultConfig, check_fault_drives
+from repro.core.base import filesystem_class
+from repro.disk.faults import FaultConfig, FaultPolicy
 from repro.disk.flash import matched_ssd_spec
-from repro.disk.redundancy import check_parity_width, \
-    check_rebuild_bandwidth
-from repro.experiments.config import MEGABYTE
+from repro.experiments.config import MEGABYTE, build_machine_config
 from repro.experiments.pipeline import service_figure_spec
 from repro.experiments.runner import register_experiment_family
 from repro.machine import MachineConfig
+from repro.machine.machine import check_machine_options
+from repro.workload.admission import ControllerConfig, make_admission_policy
 from repro.workload.driver import ServiceResult, ServiceWorkload, run_service
 
 KILOBYTE = 1024
@@ -43,35 +44,29 @@ SERVICE_METHODS = ("disk-directed", "traditional")
 FAULT_WATCHDOG = 120.0
 
 
+#: The stream of the service figures: 32 mixed collectives over 16 random-
+#: layout 1 MB files, Poisson arrivals at 8 requests/second, K=4 admitted.
+SERVICE_WORKLOAD = ServiceWorkload(
+    n_requests=32, arrival="poisson", arrival_rate=8.0, concurrency=4,
+    n_files=16, file_size=MEGABYTE, layout="random", read_fraction=0.7,
+    file_assignment="round-robin", pattern_specs=("b", "c"))
+
+
 @dataclass(frozen=True)
 class ServiceExperimentConfig:
-    """One data point: a method driven by one service workload on one machine."""
+    """One data point: a method driven by one service workload on one machine.
+
+    Build one from flat keywords with :func:`service_config`.  The workload's
+    ``seed`` is not used: the trial seed is.
+    """
 
     method: str = "disk-directed"
-    arrival: str = "poisson"
-    arrival_rate: float = 8.0
-    think_time: float = 0.0
-    exponential_think: bool = False
-    concurrency: int = 4
-    n_requests: int = 32
-    n_files: int = 16
-    file_size: int = MEGABYTE
-    layout: str = "random"
-    read_fraction: float = 0.7
-    file_assignment: str = "round-robin"
-    pattern_specs: tuple = ("b", "c")
-    record_size: int = 8192
-    #: record-size mix: each request draws uniformly from this tuple
-    #: (empty: every request uses ``record_size``).  ``(8, 8192)`` mixes the
-    #: paper's 8-byte worst case into the stream.
-    record_sizes: tuple = ()
-    #: per-file size distribution: "fixed", "pareto" or "lognormal"
-    #: (heavy-tailed with mean ``file_size``; see repro.workload.sizes)
-    size_distribution: str = "fixed"
-    size_alpha: float = 1.5
-    size_sigma: float = 1.0
-    #: cap on one heavy-tailed size draw (0: 16x the mean)
-    max_file_size: int = 0
+    workload: ServiceWorkload = SERVICE_WORKLOAD
+    #: injected drive faults (all defaults: a healthy machine, bit-identical
+    #: to pre-fault builds; see repro.disk.faults and docs/faults.md)
+    faults: FaultConfig = FaultConfig()
+    #: the adaptive-K SLO controller (None: static K)
+    controller: ControllerConfig | None = None
     n_cps: int = 16
     n_iops: int = 16
     n_disks: int = 16
@@ -87,34 +82,9 @@ class ServiceExperimentConfig:
     #: storage backend: ``disk`` (the paper's HP 97560) or ``ssd`` (the
     #: bandwidth-matched flash model of :mod:`repro.disk.flash`).
     device: str = "disk"
-    # -- fault injection (all-defaults == healthy machine, bit-identical to
-    # -- pre-fault builds; see repro.disk.faults and docs/faults.md) --------
-    #: per-request probability of a retryable media error, every drive
-    fault_transient_rate: float = 0.0
-    #: latent bad LBN ranges per drive (permanent read errors)
-    fault_bad_ranges: int = 0
-    fault_bad_range_sectors: int = 64
-    #: fail-slow episode: drive ``fault_slow_disk`` stretches mechanical time
-    #: by ``fault_slow_factor`` inside [slow_start, slow_start + duration)
-    fault_slow_factor: float = 1.0
-    fault_slow_disk: int = -1
-    fault_slow_start: float = 0.0
-    fault_slow_duration: float = 0.0
-    #: drive ``fault_fail_stop_disk`` dies at ``fault_fail_stop_time`` (-1: none)
-    fault_fail_stop_disk: int = -1
-    fault_fail_stop_time: float = 0.0
-    #: silently-corrupting LBN ranges per drive: reads overlapping one
-    #: complete ``ok`` with flipped payload bytes — only client checksums
-    #: (``checksums=True``) can see them
-    fault_silent_ranges: int = 0
-    fault_silent_range_sectors: int = 64
-    #: confine the silent ranges to one drive index (-1: every drive)
-    fault_silent_disk: int = -1
     #: client response to errored requests: ``retry`` | ``degrade`` | ``abort``
     on_fault: str = "retry"
-    # -- redundancy & integrity (all-defaults == no parity, no checksums,
-    # -- bit-identical to pre-redundancy builds; see repro.disk.redundancy
-    # -- and docs/redundancy.md) -------------------------------------------
+    # -- redundancy & integrity (defaults: none; docs/redundancy.md) ------
     #: ``none`` or ``parity`` (declustered RAID-5 layer: rotated parity,
     #: hot spare, degraded reads, background rebuild)
     redundancy: str = "none"
@@ -128,125 +98,73 @@ class ServiceExperimentConfig:
     #: record list, percentiles from the mergeable sketch only (they come
     #: from the sketch either way) — required for million-session points
     streaming: bool = False
-    # -- admission control (all-defaults == the FIFO counting semaphore,
-    # -- bit-identical to pre-admission builds; see repro.workload.admission
-    # -- and docs/workloads.md) --------------------------------------------
+    # -- admission control (defaults: FIFO; repro.workload.admission) -----
     #: admission discipline: ``fifo`` | ``sjf`` | ``priority`` | ``edf``
     admission_policy: str = "fifo"
     #: SJF aging bound, seconds (0: the policy default)
     admission_aging: float = 0.0
     #: EDF meetability estimate, bytes/s (0: deadline-passed only)
     edf_service_rate: float = 0.0
-    #: static QoS classes stamped per session (1: everyone equal)
-    priority_levels: int = 1
-    #: mean deadline budget, seconds after arrival (0: no deadlines)
-    deadline_slack: float = 0.0
-    #: adaptive-K controller SLO target, seconds (0: controller disabled)
-    controller_target_p99: float = 0.0
-    #: control interval, simulated seconds
-    controller_interval: float = 0.5
-    #: controller's K ceiling (0: 4x the static concurrency)
-    controller_max_k: int = 0
-    #: shed queued sessions older than the SLO target each interval
-    controller_shed: bool = False
-    #: age threshold for shedding, seconds since arrival (0: the target
-    #: itself; set below the target to leave service-time headroom)
-    controller_shed_age: float = 0.0
     seed: int = 0
     label: str = ""
 
     def __post_init__(self):
         # Fail at construction, not inside (or silently through) the run.
-        if self.redundancy == "parity":
-            check_parity_width(self.n_disks)
-        check_fault_drives(self._faults(), self.n_disks)
-        check_rebuild_bandwidth(self.rebuild_bandwidth)
-
-    @property
-    def pattern(self):
-        """Mixed-pattern summary (duck-compatible with ExperimentConfig rows)."""
-        specs = ",".join(self.pattern_specs)
-        return f"mix({specs})"
-
-    def workload(self):
-        """The :class:`ServiceWorkload` this config describes."""
-        return ServiceWorkload(
-            n_requests=self.n_requests,
-            arrival=self.arrival,
-            arrival_rate=self.arrival_rate,
-            think_time=self.think_time,
-            exponential_think=self.exponential_think,
-            concurrency=self.concurrency,
-            n_files=self.n_files,
-            file_size=self.file_size,
-            layout=self.layout,
-            read_fraction=self.read_fraction,
-            file_assignment=self.file_assignment,
-            pattern_specs=tuple(self.pattern_specs),
-            record_size=self.record_size,
-            record_sizes=tuple(self.record_sizes),
-            size_distribution=self.size_distribution,
-            size_alpha=self.size_alpha,
-            size_sigma=self.size_sigma,
-            max_file_size=self.max_file_size,
-            priority_levels=self.priority_levels,
-            deadline_slack=self.deadline_slack,
-            seed=self.seed,
-        )
-
-    def controller_config(self):
-        """Controller kwargs for :func:`run_service`, or None when disabled."""
-        if self.controller_target_p99 <= 0:
-            return None
-        return {
-            "target_p99": self.controller_target_p99,
-            "interval": self.controller_interval,
-            "max_k": self.controller_max_k,
-            "shed": self.controller_shed,
-            "shed_age": self.controller_shed_age,
-        }
-
-    def fault_config(self):
-        """The :class:`FaultConfig` this point injects, or None when healthy.
-
-        Returning None for the all-defaults case is load-bearing: a healthy
-        config builds a machine with no fault plans and a file system with no
-        fault policy, bit-identical to pre-fault builds.
-        """
-        config = self._faults()
-        return config if config.enabled else None
-
-    def _faults(self):
-        """Every fault knob as a :class:`FaultConfig`, enabled or not."""
-        return FaultConfig(
-            transient_rate=self.fault_transient_rate,
-            bad_range_count=self.fault_bad_ranges,
-            bad_range_sectors=self.fault_bad_range_sectors,
-            slow_factor=self.fault_slow_factor,
-            slow_disk=self.fault_slow_disk,
-            slow_start=self.fault_slow_start,
-            slow_duration=self.fault_slow_duration,
-            fail_stop_disk=self.fault_fail_stop_disk,
-            fail_stop_time=self.fault_fail_stop_time,
-            silent_range_count=self.fault_silent_ranges,
-            silent_range_sectors=self.fault_silent_range_sectors,
-            silent_disk=self.fault_silent_disk,
-        )
-
-    def machine_config(self):
-        return MachineConfig(
-            n_cps=self.n_cps,
-            n_iops=self.n_iops,
-            n_disks=self.n_disks,
-            block_size=self.block_size,
-        )
+        check_machine_options(build_machine_config(self), self.disk_scheduler,
+                              self.shared_queue_workers, self.faults,
+                              self.device, self.redundancy,
+                              self.rebuild_bandwidth)
+        filesystem_class(self.method)
+        FaultPolicy(on_fault=self.on_fault)
+        make_admission_policy(self.admission_policy,
+                              aging_bound=self.admission_aging,
+                              service_rate=self.edf_service_rate)
 
     def describe(self):
-        return (f"{self.method} service {self.arrival}@{self.arrival_rate:g}/s "
-                f"K={self.concurrency} {self.n_requests} reqs x "
-                f"{self.file_size // KILOBYTE} KB files={self.n_files} "
+        """Readable one-liner for logs and progress lines."""
+        workload = self.workload
+        return (f"{self.method} service "
+                f"{workload.arrival}@{workload.arrival_rate:g}/s "
+                f"K={workload.concurrency} {workload.n_requests} reqs x "
+                f"{workload.file_size // KILOBYTE} KB files={workload.n_files} "
                 f"cps={self.n_cps} iops={self.n_iops} disks={self.n_disks} "
                 f"sched={self.disk_scheduler}")
+
+
+#: Each field of ServiceExperimentConfig that holds a config -> its class.
+_SUB_CONFIGS = {"workload": ServiceWorkload, "faults": FaultConfig,
+                "controller": ControllerConfig}
+
+_DEFAULTS = {field.name: field.default
+             for field in fields(ServiceExperimentConfig)}
+
+#: Field name -> the field of ServiceExperimentConfig whose config declares
+#: it (None: the config's own field; ``seed`` is one).
+_OWNERS = {**{field.name: holder for holder, cls in _SUB_CONFIGS.items()
+              for field in fields(cls)}, **dict.fromkeys(_DEFAULTS)}
+
+
+def service_config(**settings):
+    """A :class:`ServiceExperimentConfig` from flat keywords.
+
+    Each keyword goes to the dataclass that declares it: the config itself,
+    or its workload, faults or controller under the sub-config's own field
+    name (``arrival_rate=8.0``, ``slow_disk=0``, ``target_p99=2.0``).  Such
+    keywords replace fields of the sub-config given whole (``faults=...``),
+    else of the default one; any controller keyword turns the controller
+    on.  An unknown name raises ``ValueError``.
+    """
+    grouped = {}
+    for name, value in settings.items():
+        if name not in _OWNERS:
+            raise ValueError(f"no service config field is named {name!r}")
+        grouped.setdefault(_OWNERS[name], {})[name] = value
+    own = grouped.pop(None, {})
+    for holder, values in grouped.items():
+        base = own.get(holder, _DEFAULTS[holder])
+        own[holder] = _SUB_CONFIGS[holder](**values) if base is None \
+            else replace(base, **values)
+    return ServiceExperimentConfig(**own)
 
 
 def run_service_experiment(config, seed=None):
@@ -254,29 +172,30 @@ def run_service_experiment(config, seed=None):
     if not isinstance(config, ServiceExperimentConfig):
         raise TypeError(
             f"expected ServiceExperimentConfig, got {type(config).__name__}")
-    trial_seed = config.seed if seed is None else seed
-    fault_config = config.fault_config()
+    # Healthy: no fault plans and no fault policy, bit-identical to
+    # pre-fault builds.
+    faults = config.faults if config.faults.enabled else None
     return run_service(
         config.method,
-        config.workload(),
-        machine_config=config.machine_config(),
-        seed=trial_seed,
+        config.workload,
+        machine_config=build_machine_config(config),
+        seed=config.seed if seed is None else seed,
         disk_scheduler=config.disk_scheduler,
         shared_queue_workers=config.shared_queue_workers,
         device=config.device,
         redundancy=config.redundancy,
         rebuild_bandwidth=config.rebuild_bandwidth,
         checksums=config.checksums,
-        fault_config=fault_config,
+        fault_config=faults,
         on_fault=config.on_fault,
         retain_requests=not config.streaming,
         admission_policy=config.admission_policy,
         admission_aging=config.admission_aging,
         edf_service_rate=config.edf_service_rate,
-        controller=config.controller_config(),
+        controller=config.controller,
         # Insurance for fault sweeps: a scenario that wedges the protocol
         # raises a diagnosable DeadlockError instead of hanging the sweep.
-        watchdog=FAULT_WATCHDOG if fault_config is not None else None,
+        watchdog=FAULT_WATCHDOG if faults is not None else None,
     )
 
 
@@ -287,9 +206,9 @@ register_experiment_family(ServiceExperimentConfig, run_service_experiment,
 # -- the shared grid builder and row helpers -------------------------------------
 
 def _grid(points, overrides, fixed=None, **swept_by):
-    """One :class:`ServiceExperimentConfig` per grid point.
+    """One :func:`service_config` per grid point.
 
-    *points* holds the fields each point sets (its label included), in
+    *points* holds the flat keywords each point sets (its label included), in
     sweep order; *fixed* holds the figure's defaults for everything else.
     *overrides* (the figure's extra keyword arguments) may replace any fixed
     default but no field a point sets, nor any field *swept_by* names: it
@@ -304,7 +223,7 @@ def _grid(points, overrides, fixed=None, **swept_by):
             raise ValueError(
                 f"{key} is set per grid point by this figure{hint}")
     settings = {**(fixed or {}), **overrides}
-    return [ServiceExperimentConfig(**settings, **point) for point in points]
+    return [service_config(**settings, **point) for point in points]
 
 
 def _mean(values):
@@ -358,17 +277,18 @@ def service_configs(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, **overrides):
 
 
 def _service_header(sample, arguments):
-    return (f"Service workload: {sample.n_requests} mixed collectives "
-            f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
-            f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
-            f"K={sample.concurrency} admitted, {sample.arrival} arrivals")
+    workload = sample.workload
+    return (f"Service workload: {workload.n_requests} mixed collectives "
+            f"({workload.read_fraction:.0%} reads) over {workload.n_files} "
+            f"{workload.file_size // KILOBYTE} KB {workload.layout} files, "
+            f"K={workload.concurrency} admitted, {workload.arrival} arrivals")
 
 
 def _service_row(summary):
     config, results = summary.config, summary.results
     return {
         "method": config.method,
-        "load_req_s": config.arrival_rate,
+        "load_req_s": config.workload.arrival_rate,
         "throughput_mb": summary.mean_throughput_mb,
         "p50_ms": _percentile(results, 0.50) * 1e3,
         "p99_ms": _percentile(results, 0.99) * 1e3,
@@ -392,8 +312,9 @@ def service_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, trials=1,
     """Throughput and response-time percentiles vs offered load, per method.
 
     Returns ``(summaries, text)`` like every other figure generator.  Extra
-    keyword arguments override :class:`ServiceExperimentConfig` fields (e.g.
-    ``n_cps=4, file_size=128*1024`` for a laptop-scale run).
+    keyword arguments override fields of the config or of its sub-configs,
+    by their own names (:func:`service_config`; e.g. ``n_cps=4,
+    file_size=128*1024`` for a laptop-scale run, ``slow_disk=0``).
     """
 
 
@@ -448,21 +369,22 @@ def service_scheduler_configs(loads=SCHEDULER_LOADS,
 
 
 def _scheduler_header(sample, arguments):
+    workload = sample.workload
     return (f"Cross-collective IOP scheduling (disk-directed I/O): "
             f"per-collective sort (fcfs drive queue) vs shared per-disk queues\n"
-            f"{sample.n_requests} mixed collectives "
-            f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
-            f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
-            f"{sample.arrival} arrivals")
+            f"{workload.n_requests} mixed collectives "
+            f"({workload.read_fraction:.0%} reads) over {workload.n_files} "
+            f"{workload.file_size // KILOBYTE} KB {workload.layout} files, "
+            f"{workload.arrival} arrivals")
 
 
 def _scheduler_row(summary):
     config = summary.config
     return {
-        "K": config.concurrency,
+        "K": config.workload.concurrency,
         "scheduler": config.disk_scheduler,
         "workers": config.shared_queue_workers,
-        "load_req_s": config.arrival_rate,
+        "load_req_s": config.workload.arrival_rate,
         "throughput_mb": summary.mean_throughput_mb,
         "p99_ms": _percentile(summary.results, 0.99) * 1e3,
         "trials": len(summary.results),
@@ -535,22 +457,23 @@ def service_overload_configs(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
 
 
 def _overload_header(sample, arguments):
-    record_mix = ",".join(str(size) for size in
-                          (sample.record_sizes or (sample.record_size,)))
-    return (f"Overload study: {sample.arrival} arrivals to "
+    workload = sample.workload
+    record_mix = ",".join(map(str, workload.effective_record_sizes))
+    return (f"Overload study: {workload.arrival} arrivals to "
             f"~{max(arguments['loads']):g} req/s, "
-            f"{sample.size_distribution} file sizes (mean "
-            f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
-            f"record mix {{{record_mix}}} bytes, {sample.layout} layout, "
+            f"{workload.size_distribution} file sizes (mean "
+            f"{workload.file_size // KILOBYTE} KB, "
+            f"alpha={workload.size_alpha:g}), "
+            f"record mix {{{record_mix}}} bytes, {workload.layout} layout, "
             f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
-            f"disks, K={sample.concurrency}")
+            f"disks, K={workload.concurrency}")
 
 
 def _overload_row(summary):
     config, results = summary.config, summary.results
     return {
         "method": config.method,
-        "load_req_s": config.arrival_rate,
+        "load_req_s": config.workload.arrival_rate,
         "throughput_mb": summary.mean_throughput_mb,
         "mean_rt_s": _mean(result.mean_response_time for result in results),
         "p99_rt_s": _percentile(results, 0.99),
@@ -648,21 +571,23 @@ def service_millions_configs(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
 
 
 def _millions_header(sample, arguments):
-    return (f"Million-session overload asymptote: {sample.arrival} arrivals to "
-            f"{arguments['headline_load']:g} req/s, "
+    workload = sample.workload
+    return (f"Million-session overload asymptote: {workload.arrival} arrivals "
+            f"to {arguments['headline_load']:g} req/s, "
             f"{arguments['headline_requests']} sessions per headline row "
             f"({arguments['sweep_requests']} per sweep row), "
-            f"{sample.file_size // KILOBYTE} KB sessions over {sample.n_files} "
-            f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs / "
-            f"{sample.n_disks} disks, K={sample.concurrency}, streaming driver")
+            f"{workload.file_size // KILOBYTE} KB sessions over "
+            f"{workload.n_files} {workload.layout} files, {sample.n_cps} CPs / "
+            f"{sample.n_iops} IOPs / {sample.n_disks} disks, "
+            f"K={workload.concurrency}, streaming driver")
 
 
 def _millions_row(summary):
     config, results = summary.config, summary.results
     return {
         "method": config.method,
-        "load_req_s": config.arrival_rate,
-        "n_requests": config.n_requests,
+        "load_req_s": config.workload.arrival_rate,
+        "n_requests": config.workload.n_requests,
         "completion_rate_s": _mean(
             result.aggregates.get("completed", result.n_requests)
             / result.elapsed for result in results if result.elapsed > 0),
@@ -723,21 +648,20 @@ def service_millions_figure(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
 # -- the fault-injection figure ----------------------------------------------------
 
 #: The fault scenarios swept by the ``service-faults`` figure, in sweep
-#: order: name -> ServiceExperimentConfig fault-field overrides.  The sweep
+#: order: name -> FaultConfig field overrides.  The sweep
 #: spans the taxonomy of repro.disk.faults — transient media errors at two
 #: rates, one fail-slow drive, one fail-stop drive out of 32, and the
 #: combined "sick disk" — always against the healthy baseline.
 FAULT_SCENARIOS = (
     ("healthy", {}),
-    ("transient-1pct", {"fault_transient_rate": 0.01}),
-    ("transient-5pct", {"fault_transient_rate": 0.05}),
-    ("fail-slow-4x", {"fault_slow_disk": 0, "fault_slow_factor": 4.0,
-                      "fault_slow_start": 0.0, "fault_slow_duration": 3600.0}),
-    ("fail-stop", {"fault_fail_stop_disk": 0, "fault_fail_stop_time": 1.0}),
-    ("sick-disk", {"fault_transient_rate": 0.01,
-                   "fault_slow_disk": 0, "fault_slow_factor": 4.0,
-                   "fault_slow_start": 0.0, "fault_slow_duration": 3600.0,
-                   "fault_fail_stop_disk": 0, "fault_fail_stop_time": 2.0}),
+    ("transient-1pct", {"transient_rate": 0.01}),
+    ("transient-5pct", {"transient_rate": 0.05}),
+    ("fail-slow-4x", {"slow_disk": 0, "slow_factor": 4.0, "slow_start": 0.0,
+                      "slow_duration": 3600.0}),
+    ("fail-stop", {"fail_stop_disk": 0, "fail_stop_time": 1.0}),
+    ("sick-disk", {"transient_rate": 0.01, "slow_disk": 0, "slow_factor": 4.0,
+                   "slow_start": 0.0, "slow_duration": 3600.0,
+                   "fail_stop_disk": 0, "fail_stop_time": 2.0}),
 )
 
 #: Methods compared by the fault figure.
@@ -770,12 +694,13 @@ def service_faults_configs(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
 
 
 def _faults_header(sample, arguments):
+    workload = sample.workload
     return (f"Fault injection on {sample.device}: "
             f"{len(arguments['scenarios'])} scenarios x DDIO/TC under "
             f"bounded retry (on_fault={sample.on_fault!r}), "
-            f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
-            f"{sample.n_requests} mixed "
-            f"collectives over {sample.n_files} {sample.layout} files, "
+            f"{workload.arrival}@{workload.arrival_rate:g} req/s, "
+            f"{workload.n_requests} mixed "
+            f"collectives over {workload.n_files} {workload.layout} files, "
             f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
             f"disks")
 
@@ -798,7 +723,7 @@ def _faults_row(summary):
 
 def _faults_derived(sample, call):
     return {"scenarios": [name for name, _ in call["scenarios"]],
-            "load_req_s": sample.arrival_rate}
+            "load_req_s": sample.workload.arrival_rate}
 
 
 @service_figure_spec(
@@ -872,8 +797,8 @@ def service_rebuild_configs(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
         OVERLOAD_SERVER,
         redundancy="parity",
         rebuild_bandwidth=float(REBUILD_BANDWIDTH),
-        fault_fail_stop_disk=0,
-        fault_fail_stop_time=REBUILD_KILL_TIME,
+        fail_stop_disk=0,
+        fail_stop_time=REBUILD_KILL_TIME,
         arrival_rate=load,
     )
     points = [dict(method=method, device=device, label=f"{device}:{method}")
@@ -910,18 +835,19 @@ def _phase_goodputs(result, kill_time):
 
 
 def _rebuild_header(sample, arguments):
+    workload, faults = sample.workload, sample.faults
     return (f"Declustered parity under fail-stop: drive "
-            f"{sample.fault_fail_stop_disk} of {sample.n_disks} killed at "
-            f"t={sample.fault_fail_stop_time:g}s, rebuild capped at "
+            f"{faults.fail_stop_disk} of {sample.n_disks} killed at "
+            f"t={faults.fail_stop_time:g}s, rebuild capped at "
             f"{sample.rebuild_bandwidth / MEGABYTE:.2f} Mbytes/s, "
-            f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
-            f"{sample.n_requests} mixed collectives over {sample.n_files} "
-            f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs")
+            f"{workload.arrival}@{workload.arrival_rate:g} req/s, "
+            f"{workload.n_requests} mixed collectives over {workload.n_files} "
+            f"{workload.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs")
 
 
 def _rebuild_row(summary):
     config, results = summary.config, summary.results
-    phases = [_phase_goodputs(result, config.fault_fail_stop_time)
+    phases = [_phase_goodputs(result, config.faults.fail_stop_time)
               for result in results]
 
     def aggregate(key, scale=1):
@@ -943,12 +869,6 @@ def _rebuild_row(summary):
     }
 
 
-def _rebuild_derived(sample, call):
-    return {"load_req_s": sample.arrival_rate,
-            "fail_stop_disk": sample.fault_fail_stop_disk,
-            "fail_stop_time": sample.fault_fail_stop_time}
-
-
 @service_figure_spec(
     name="service-rebuild", configs=service_rebuild_configs,
     header=_rebuild_header, row=_rebuild_row,
@@ -965,7 +885,7 @@ def _rebuild_derived(sample, call):
               "rebuild_bandwidth", "fail_stop_disk", "fail_stop_time",
               "n_requests", "concurrency", "layout", "n_cps", "n_iops",
               "n_disks", "trials", "seed"),
-    derived=_rebuild_derived)
+    derived=lambda sample, call: {"load_req_s": sample.workload.arrival_rate})
 def service_rebuild_figure(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
                            load=FAULT_LOAD, trials=1, progress=None,
                            workers=None, cache=None, json_path=None,
@@ -1014,10 +934,10 @@ ADMISSION_CONTROL_INTERVAL = 0.25
 #: ``admission_policy``.
 ADMISSION_CONTROLLER = dict(
     admission_policy="fifo",
-    controller_target_p99=ADMISSION_TARGET_P99,
-    controller_interval=ADMISSION_CONTROL_INTERVAL,
-    controller_shed=True,
-    controller_shed_age=ADMISSION_SHED_AGE,
+    target_p99=ADMISSION_TARGET_P99,
+    interval=ADMISSION_CONTROL_INTERVAL,
+    shed=True,
+    shed_age=ADMISSION_SHED_AGE,
 )
 
 #: Mean deadline budget (seconds after arrival) stamped on every session of
@@ -1053,13 +973,15 @@ def service_admission_configs(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
 
 
 def _admission_header(sample, arguments):
+    workload = sample.workload
     return (f"Admission control under overload (disk-directed I/O): "
-            f"{sample.arrival} arrivals to {max(arguments['loads']):g} req/s, "
-            f"{sample.size_distribution} file sizes (mean "
-            f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
-            f"{sample.n_requests} sessions, {sample.priority_levels} priority "
-            f"classes, ~{sample.deadline_slack:g} s deadlines, "
-            f"K={sample.concurrency} static, {sample.n_cps} CPs / "
+            f"{workload.arrival} arrivals to {max(arguments['loads']):g} "
+            f"req/s, {workload.size_distribution} file sizes (mean "
+            f"{workload.file_size // KILOBYTE} KB, "
+            f"alpha={workload.size_alpha:g}), {workload.n_requests} sessions, "
+            f"{workload.priority_levels} priority classes, "
+            f"~{workload.deadline_slack:g} s deadlines, "
+            f"K={workload.concurrency} static, {sample.n_cps} CPs / "
             f"{sample.n_iops} IOPs / {sample.n_disks} disks")
 
 
@@ -1078,7 +1000,7 @@ def _admission_row(summary):
     p99 = _percentile(results, 0.99)
     row = {
         "policy": _stem(config),
-        "load_req_s": config.arrival_rate,
+        "load_req_s": config.workload.arrival_rate,
         "goodput_mb": _mean(result.goodput_mb for result in results),
         "p50_s": _percentile(results, 0.50),
         "p99_s": p99,
@@ -1088,8 +1010,8 @@ def _admission_row(summary):
         "shed_mb": _mean(result.shed_bytes / MEGABYTE for result in results),
         "trials": len(results),
     }
-    target = config.controller_target_p99
-    if target > 0:
+    if config.controller is not None:
+        target = config.controller.target_p99
         row["slo_target_s"] = target
         row["slo_met"] = p99 <= target
     return row
@@ -1108,8 +1030,8 @@ def _admission_row(summary):
     artifact=("arrival", "loads", "n_requests", "concurrency",
               "size_distribution", "size_alpha", "file_size", "record_sizes",
               "layout", "n_cps", "n_iops", "n_disks", "priority_levels",
-              "deadline_slack", "controller_target_p99",
-              "controller_shed_age", "controller_interval", "trials", "seed"),
+              "deadline_slack", "target_p99", "shed_age", "interval",
+              "trials", "seed"),
     derived=lambda sample, call: ADMISSION_CONTROLLER)
 def service_admission_figure(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
                              trials=1, progress=None, workers=None,
@@ -1201,13 +1123,14 @@ def service_flash_configs(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
 
 def _flash_header(sample, arguments):
     disk_spec = MachineConfig().disk_spec
+    workload = sample.workload
     return (f"Disk-directed I/O vs traditional caching, disk vs flash at equal "
             f"sequential bandwidth "
             f"({disk_spec.sustained_transfer_rate / MEGABYTE:.2f} Mbytes/s per "
-            f"device): {sample.arrival} arrivals, {sample.n_requests} mixed "
-            f"collectives over {sample.n_files} files, K={sample.concurrency}, "
-            f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
-            f"drives")
+            f"device): {workload.arrival} arrivals, {workload.n_requests} mixed "
+            f"collectives over {workload.n_files} files, "
+            f"K={workload.concurrency}, {sample.n_cps} CPs / {sample.n_iops} "
+            f"IOPs / {sample.n_disks} drives")
 
 
 def _flash_row(summary):
@@ -1215,7 +1138,7 @@ def _flash_row(summary):
     return {
         "device": config.device,
         "method": config.method,
-        "load_req_s": config.arrival_rate,
+        "load_req_s": config.workload.arrival_rate,
         "goodput_mb": _mean(result.goodput_mb for result in results),
         "p50_s": _percentile(results, 0.50),
         "p99_s": _percentile(results, 0.99),

@@ -225,6 +225,14 @@ _LAYOUTS = {
 }
 
 
+def layout_class(name):
+    """The layout class *name* selects; ``ValueError`` if it selects none."""
+    try:
+        return _LAYOUTS[name]
+    except KeyError:
+        raise ValueError(f"unknown layout {name!r}; choose from {sorted(set(_LAYOUTS))}")
+
+
 def make_layout(name, spec, block_size, seed=0, start_block=0,
                 redundancy="none", n_disks=None):
     """Construct a layout by name (``contiguous`` or ``random``/``random-blocks``).
@@ -238,10 +246,7 @@ def make_layout(name, spec, block_size, seed=0, start_block=0,
     the layout in a :class:`ParityLayout` so data placement skips each
     drive's rotated parity rows; the default ``"none"`` changes nothing.
     """
-    try:
-        cls = _LAYOUTS[name]
-    except KeyError:
-        raise ValueError(f"unknown layout {name!r}; choose from {sorted(set(_LAYOUTS))}")
+    cls = layout_class(name)
     if redundancy not in ("none", "parity"):
         raise ValueError(
             f"unknown redundancy {redundancy!r} (choose from ('none', 'parity'))")

@@ -4,8 +4,10 @@ from repro.disk.drive import Disk
 from repro.disk.faults import build_fault_plan, check_fault_drives
 from repro.disk.flash import SSD, matched_ssd_spec
 from repro.disk.redundancy import (REDUNDANCY_MODES, ParityArray,
-                                   ParityDisk, check_rebuild_bandwidth)
-from repro.disk.shared_queue import SharedDiskQueue
+                                   ParityDisk, check_parity_width,
+                                   check_rebuild_bandwidth)
+from repro.disk.scheduler import make_scheduler
+from repro.disk.shared_queue import SharedDiskQueue, check_workers
 from repro.machine.bus import ScsiBus
 from repro.machine.node import ComputeNode, IONode
 from repro.network.network import Network
@@ -20,6 +22,30 @@ SHARED_PREFIX = "shared-"
 
 #: The storage backends the ``device=`` axis selects between.
 DEVICES = ("disk", "ssd")
+
+
+def check_machine_options(config, disk_scheduler="fcfs",
+                          shared_queue_workers=2, fault_config=None,
+                          device="disk", redundancy="none",
+                          rebuild_bandwidth=0.0):
+    """Raise ``ValueError`` unless :class:`Machine` accepts these arguments.
+
+    Experiment configs run it when they are built, so a bad option fails
+    there instead of inside a sweep.
+    """
+    if device not in DEVICES:
+        raise ValueError(f"unknown device {device!r} (choose from {DEVICES})")
+    if redundancy not in REDUNDANCY_MODES:
+        raise ValueError(f"unknown redundancy {redundancy!r} "
+                         f"(choose from {REDUNDANCY_MODES})")
+    if redundancy == "parity":
+        check_parity_width(config.n_disks)
+    if isinstance(disk_scheduler, str):  # else a policy object
+        make_scheduler(disk_scheduler.removeprefix(SHARED_PREFIX))
+        if disk_scheduler.startswith(SHARED_PREFIX):
+            check_workers(shared_queue_workers)
+    check_fault_drives(fault_config, config.n_disks)
+    check_rebuild_bandwidth(rebuild_bandwidth)
 
 
 class Machine:
@@ -54,15 +80,9 @@ class Machine:
     def __init__(self, config, seed=0, env=None, disk_scheduler="fcfs",
                  shared_queue_workers=2, fault_config=None, device="disk",
                  ssd_spec=None, redundancy="none", rebuild_bandwidth=0.0):
-        if device not in DEVICES:
-            raise ValueError(
-                f"unknown device {device!r} (choose from {DEVICES})")
-        if redundancy not in REDUNDANCY_MODES:
-            raise ValueError(
-                f"unknown redundancy {redundancy!r} "
-                f"(choose from {REDUNDANCY_MODES})")
-        check_fault_drives(fault_config, config.n_disks)
-        check_rebuild_bandwidth(rebuild_bandwidth)
+        check_machine_options(config, disk_scheduler, shared_queue_workers,
+                              fault_config, device, redundancy,
+                              rebuild_bandwidth)
         self.config = config
         self.seed = seed
         self.device = device

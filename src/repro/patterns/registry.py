@@ -72,11 +72,10 @@ def choose_cp_grid(n_cps, row_dist, col_dist):
     return best_rows, n_cps // best_rows
 
 
-def make_pattern(name, file_size, record_size, n_cps, matrix_dims=None):
-    """Build the :class:`AccessPattern` for the paper's pattern *name*.
+def parse_pattern_name(name):
+    """``(mode, distributions)`` of pattern *name*; ``ValueError`` if malformed.
 
-    ``matrix_dims`` optionally pins the matrix shape for 2-D patterns;
-    otherwise a near-square factorisation of the record count is used.
+    The ALL pattern (``ra``) has no distributions.
     """
     name = name.lower()
     if len(name) < 2 or name[0] not in ("r", "w"):
@@ -84,25 +83,35 @@ def make_pattern(name, file_size, record_size, n_cps, matrix_dims=None):
             f"pattern name {name!r} must start with 'r' (read) or 'w' (write)")
     mode = "read" if name[0] == "r" else "write"
     spec = name[1:]
-
     if spec == "a":
+        return mode, ()
+    if len(spec) > 2:
+        raise ValueError(f"pattern name {name!r} has too many distribution letters")
+    return mode, tuple(Distribution.from_letter(letter) for letter in spec)
+
+
+def make_pattern(name, file_size, record_size, n_cps, matrix_dims=None):
+    """Build the :class:`AccessPattern` for the paper's pattern *name*.
+
+    ``matrix_dims`` optionally pins the matrix shape for 2-D patterns;
+    otherwise a near-square factorisation of the record count is used.
+    """
+    name = name.lower()
+    mode, distributions = parse_pattern_name(name)
+    if not distributions:
         return AllPattern(name, mode, file_size, record_size, n_cps)
 
-    if len(spec) == 1:
+    n_records = file_size // record_size
+    if len(distributions) == 1:
         row_dist = Distribution.NONE
-        col_dist = Distribution.from_letter(spec)
-        n_records = file_size // record_size
+        col_dist = distributions[0]
         rows, cols = 1, n_records
-    elif len(spec) == 2:
-        row_dist = Distribution.from_letter(spec[0])
-        col_dist = Distribution.from_letter(spec[1])
-        n_records = file_size // record_size
+    else:
+        row_dist, col_dist = distributions
         if matrix_dims is not None:
             rows, cols = matrix_dims
         else:
             rows, cols = choose_matrix_dims(n_records)
-    else:
-        raise ValueError(f"pattern name {name!r} has too many distribution letters")
 
     grid_rows, grid_cols = choose_cp_grid(n_cps, row_dist, col_dist)
     return MatrixPattern(

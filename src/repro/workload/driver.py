@@ -59,8 +59,10 @@ import numpy as np
 from repro.core import make_filesystem
 from repro.disk.faults import FaultPolicy
 from repro.fs import FileSystem
+from repro.fs.layout import layout_class
 from repro.machine import Machine, MachineConfig
 from repro.patterns import make_pattern
+from repro.patterns.registry import parse_pattern_name
 from repro.sim.events import AllOf
 from repro.workload.admission import (
     DROPPED,
@@ -79,7 +81,7 @@ from repro.workload.checkpoint import (
     RunCheckpoint,
     run_fingerprint,
 )
-from repro.workload.sizes import SIZE_DISTRIBUTIONS, sample_file_sizes
+from repro.workload.sizes import check_size_distribution, sample_file_sizes
 
 MEGABYTE = float(2 ** 20)
 
@@ -158,6 +160,10 @@ class ServiceWorkload:
                 f"read fraction must be in [0, 1], got {self.read_fraction}")
         if not self.pattern_specs:
             raise ValueError("need at least one pattern spec")
+        for spec in self.pattern_specs:
+            parse_pattern_name("r" + spec)
+        layout_class(self.layout)
+        self.make_arrival_process()
         if self.file_assignment not in ("random", "round-robin"):
             raise ValueError(
                 f"file assignment must be 'random' or 'round-robin', "
@@ -171,10 +177,8 @@ class ServiceWorkload:
         if any(size < 1 for size in self.effective_record_sizes):
             raise ValueError(
                 f"record sizes must be positive, got {self.record_sizes}")
-        if self.size_distribution not in SIZE_DISTRIBUTIONS:
-            raise ValueError(
-                f"unknown size distribution {self.size_distribution!r}; "
-                f"choose one of {SIZE_DISTRIBUTIONS}")
+        check_size_distribution(self.size_distribution,
+                                alpha=self.size_alpha, sigma=self.size_sigma)
         if self.size_distribution == "fixed" \
                 and self.file_size % self.size_granularity:
             raise ValueError(

@@ -54,6 +54,19 @@ def _round_up(value, granularity):
     return units * granularity
 
 
+def check_size_distribution(distribution, alpha=1.5, sigma=1.0):
+    """Raise ``ValueError`` unless :func:`sample_file_size` can draw so."""
+    if distribution not in SIZE_DISTRIBUTIONS:
+        raise ValueError(
+            f"unknown size distribution {distribution!r}; "
+            f"choose one of {SIZE_DISTRIBUTIONS}")
+    if distribution == "pareto" and alpha <= 1.0:
+        raise ValueError(
+            f"pareto tail index must be > 1 for a finite mean, got {alpha}")
+    if distribution == "lognormal" and sigma <= 0.0:
+        raise ValueError(f"lognormal sigma must be positive, got {sigma}")
+
+
 def sample_file_size(distribution, mean_size, trial_seed, file_index,
                      alpha=1.5, sigma=1.0, granularity=8192, max_size=None):
     """Draw the size of file *file_index*, in bytes.
@@ -63,10 +76,7 @@ def sample_file_size(distribution, mean_size, trial_seed, file_index,
     *max_size* bound the result to ``[granularity, max_size]`` in whole
     multiples of *granularity*.
     """
-    if distribution not in SIZE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown size distribution {distribution!r}; "
-            f"choose one of {SIZE_DISTRIBUTIONS}")
+    check_size_distribution(distribution, alpha=alpha, sigma=sigma)
     if mean_size < granularity:
         raise ValueError(
             f"mean size {mean_size} smaller than granularity {granularity}")
@@ -79,16 +89,11 @@ def sample_file_size(distribution, mean_size, trial_seed, file_index,
 
     rng = file_size_rng(trial_seed, file_index)
     if distribution == "pareto":
-        if alpha <= 1.0:
-            raise ValueError(
-                f"pareto tail index must be > 1 for a finite mean, got {alpha}")
         # numpy's pareto() samples the Lomax form; (draw + 1) * scale is the
         # classical Pareto I with minimum `scale` and mean alpha*scale/(alpha-1).
         scale = mean_size * (alpha - 1.0) / alpha
         raw = (float(rng.pareto(alpha)) + 1.0) * scale
     else:  # lognormal
-        if sigma <= 0.0:
-            raise ValueError(f"lognormal sigma must be positive, got {sigma}")
         mu = math.log(mean_size) - 0.5 * sigma * sigma
         raw = float(rng.lognormal(mu, sigma))
     size = _round_up(raw, granularity)

@@ -56,7 +56,7 @@ CASES = {
     "service-rebuild": dict(devices=("disk",), trials=1, n_cps=2, n_iops=2,
                             n_disks=4, n_requests=6, n_files=2,
                             file_size=131072, concurrency=2,
-                            fault_fail_stop_time=0.01,
+                            fail_stop_time=0.01,
                             rebuild_bandwidth=16.0 * 2 ** 20),
 }
 

@@ -185,10 +185,10 @@ class TestTrialCostEstimate:
 
     def test_service_configs_scale_with_requests_and_record_mix(self):
         from repro.experiments.runner import trial_cost_estimate
-        from repro.experiments.service import ServiceExperimentConfig
-        small = ServiceExperimentConfig(method="traditional", n_requests=4)
-        big = ServiceExperimentConfig(method="traditional", n_requests=32)
-        mixed = ServiceExperimentConfig(method="traditional", n_requests=4,
+        from repro.experiments.service import service_config
+        small = service_config(method="traditional", n_requests=4)
+        big = service_config(method="traditional", n_requests=32)
+        mixed = service_config(method="traditional", n_requests=4,
                                         record_sizes=(8, 8192))
         assert trial_cost_estimate(big) > trial_cost_estimate(small)
         assert trial_cost_estimate(mixed) > trial_cost_estimate(small)

@@ -6,9 +6,9 @@ import pytest
 
 from repro.experiments import (
     ResultCache,
-    ServiceExperimentConfig,
     run_service_experiment,
     run_trial,
+    service_config,
     sweep,
     sweep_parallel,
     trial_cache_key,
@@ -26,7 +26,7 @@ def tiny_service_config(**overrides):
                 layout="contiguous", concurrency=2, arrival="poisson",
                 arrival_rate=200.0, seed=7)
     base.update(overrides)
-    return ServiceExperimentConfig(**base)
+    return service_config(**base)
 
 
 def results_as_dicts(summary):
@@ -103,7 +103,7 @@ class TestServiceSweeps:
         # part of the key.
         from repro.experiments import ExperimentConfig
         transfer_key = trial_cache_key(ExperimentConfig(), 0)
-        service_key = trial_cache_key(ServiceExperimentConfig(), 0)
+        service_key = trial_cache_key(service_config(), 0)
         assert transfer_key != service_key
 
 
@@ -112,7 +112,7 @@ class TestServiceFigure:
         configs = service_configs(loads=(5.0, 10.0),
                                   methods=("disk-directed", "traditional"))
         assert len(configs) == 4
-        assert {config.arrival_rate for config in configs} == {5.0, 10.0}
+        assert {config.workload.arrival_rate for config in configs} == {5.0, 10.0}
 
     def test_figure_text_and_summaries(self):
         summaries, text = service_figure(
@@ -124,17 +124,18 @@ class TestServiceFigure:
         assert "99th-percentile response time" in text
         assert "DDIO" in text and "TC" in text
 
-    def test_summary_rows_are_duck_compatible(self):
-        # TrialSummary.as_row works on service configs (progress printers and
-        # report tables rely on these fields).
-        summaries, _text = service_figure(
+    def test_progress_lines_describe_service_points(self, capsys):
+        # The figures command line prints each finished point's describe().
+        from repro.experiments.figures import _progress_printer
+
+        service_figure(
             loads=(200.0,), methods=("disk-directed",), trials=1, n_cps=2,
             n_iops=1, n_disks=1, n_requests=3, n_files=1,
-            file_size=64 * KILOBYTE, layout="contiguous")
-        row = summaries[0].as_row()
-        assert row["method"] == "disk-directed"
-        assert row["pattern"].startswith("mix(")
-        assert row["throughput_mb"] > 0
+            file_size=64 * KILOBYTE, layout="contiguous",
+            progress=_progress_printer)
+        line = capsys.readouterr().err
+        assert "[1/1] disk-directed service poisson@200/s K=4 3 reqs" in line
+        assert line.rstrip().endswith("MB/s")
 
 
 class TestHeadlineUnderConcurrentLoad:
@@ -167,7 +168,7 @@ class TestOverloadFamily:
                     arrival_rate=200.0, size_distribution="pareto",
                     size_alpha=1.5, record_sizes=(8, 8192), seed=7)
         base.update(overrides)
-        return ServiceExperimentConfig(**base)
+        return service_config(**base)
 
     def test_heavy_tail_fields_participate_in_cache_key(self):
         fixed = tiny_service_config()
@@ -228,7 +229,7 @@ class TestOverloadFamily:
             n_cps=2, n_iops=1, n_disks=1, n_requests=8, n_files=2,
             file_size=64 * KILOBYTE, layout="contiguous", concurrency=2,
             seed=7)
-        by_load = {summary.config.arrival_rate:
+        by_load = {summary.config.workload.arrival_rate:
                    summary.results[0].mean_response_time
                    for summary in summaries}
         assert by_load[800.0] > by_load[25.0]

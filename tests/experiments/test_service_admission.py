@@ -3,8 +3,8 @@
 import json
 
 from repro.experiments import (
-    ServiceExperimentConfig,
     run_service_experiment,
+    service_config,
     trial_cache_key,
 )
 from repro.experiments.service import (
@@ -15,6 +15,7 @@ from repro.experiments.service import (
     service_admission_figure,
 )
 from repro.workload import ServiceResult
+from repro.workload.admission import ControllerConfig
 
 KILOBYTE = 1024
 
@@ -29,26 +30,25 @@ def tiny_admission_config(**overrides):
     base = dict(method="disk-directed", arrival="poisson", arrival_rate=200.0,
                 priority_levels=2, deadline_slack=0.5, **TINY)
     base.update(overrides)
-    return ServiceExperimentConfig(**base)
+    return service_config(**base)
 
 
 class TestAdmissionConfigPlumbing:
     def test_defaults_disable_the_controller(self):
         config = tiny_admission_config()
-        assert config.controller_config() is None
+        assert config.controller is None
         assert config.admission_policy == "fifo"
 
     def test_controller_fields_build_a_config(self):
-        config = tiny_admission_config(controller_target_p99=2.0,
-                                       controller_interval=0.25,
-                                       controller_shed=True,
-                                       controller_shed_age=1.0)
-        controller = config.controller_config()
-        assert controller == {"target_p99": 2.0, "interval": 0.25,
-                              "max_k": 0, "shed": True, "shed_age": 1.0}
+        config = tiny_admission_config(target_p99=2.0,
+                                       interval=0.25,
+                                       shed=True,
+                                       shed_age=1.0)
+        assert config.controller == ControllerConfig(
+            target_p99=2.0, interval=0.25, shed=True, shed_age=1.0)
 
     def test_workload_carries_the_qos_stamps(self):
-        workload = tiny_admission_config().workload()
+        workload = tiny_admission_config().workload
         assert workload.priority_levels == 2
         assert workload.deadline_slack == 0.5
 
@@ -57,7 +57,7 @@ class TestAdmissionConfigPlumbing:
         assert trial_cache_key(base, 7) != \
             trial_cache_key(tiny_admission_config(admission_policy="sjf"), 7)
         assert trial_cache_key(base, 7) != \
-            trial_cache_key(tiny_admission_config(controller_target_p99=2.0),
+            trial_cache_key(tiny_admission_config(target_p99=2.0),
                             7)
         assert trial_cache_key(base, 7) != \
             trial_cache_key(tiny_admission_config(deadline_slack=1.0), 7)
@@ -73,10 +73,10 @@ class TestAdmissionTrials:
 
     def test_controller_trial_reports_state(self):
         result = run_service_experiment(
-            tiny_admission_config(controller_target_p99=0.5,
-                                  controller_interval=0.1,
-                                  controller_shed=True,
-                                  controller_shed_age=0.3))
+            tiny_admission_config(target_p99=0.5,
+                                  interval=0.1,
+                                  shed=True,
+                                  shed_age=0.3))
         assert result.controller["target_p99"] == 0.5
         assert result.controller["intervals"] > 0
         assert result.conserves_bytes()
@@ -96,8 +96,8 @@ class TestAdmissionFigure:
         assert "fifo@32" in labels and "controller@8" in labels
         controller = next(config for config in configs
                           if config.label == "controller@32")
-        assert controller.controller_target_p99 == ADMISSION_TARGET_P99
-        assert controller.controller_shed
+        assert controller.controller.target_p99 == ADMISSION_TARGET_P99
+        assert controller.controller.shed
         assert controller.admission_policy == "fifo"
 
     def test_grid_rows_share_one_workload(self):
@@ -105,7 +105,7 @@ class TestAdmissionFigure:
         # is the only axis — so the stamps are on for FIFO too.
         configs = service_admission_configs()
         workloads = {config.label.split("@")[0]:
-                     config.workload() for config in configs
+                     config.workload for config in configs
                      if config.label.endswith("@32")}
         reference = workloads.pop("fifo")
         assert all(workload == reference

@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.experiments import (
-    ServiceExperimentConfig,
     run_service_experiment,
+    service_config,
     trial_cache_key,
 )
 from repro.experiments.service import (
@@ -27,27 +27,26 @@ TINY = dict(n_cps=2, n_iops=1, n_disks=2, n_requests=4, n_files=2,
 def tiny_fault_config(**overrides):
     base = dict(method="disk-directed", **TINY)
     base.update(overrides)
-    return ServiceExperimentConfig(**base)
+    return service_config(**base)
 
 
 class TestFaultConfigPlumbing:
-    def test_healthy_config_builds_no_fault_config(self):
-        assert tiny_fault_config().fault_config() is None
+    def test_healthy_config_enables_no_faults(self):
+        assert not tiny_fault_config().faults.enabled
 
     def test_fault_fields_build_a_fault_config(self):
-        config = tiny_fault_config(fault_transient_rate=0.05)
-        fault_config = config.fault_config()
-        assert fault_config is not None
-        assert fault_config.transient_rate == 0.05
+        config = tiny_fault_config(transient_rate=0.05)
+        assert config.faults.enabled
+        assert config.faults.transient_rate == 0.05
 
     def test_fault_fields_participate_in_cache_key(self):
         healthy = tiny_fault_config()
-        faulted = tiny_fault_config(fault_transient_rate=0.05)
+        faulted = tiny_fault_config(transient_rate=0.05)
         assert trial_cache_key(healthy, 7) != trial_cache_key(faulted, 7)
 
     def test_on_fault_participates_in_cache_key(self):
-        retry = tiny_fault_config(fault_transient_rate=0.05)
-        degrade = tiny_fault_config(fault_transient_rate=0.05,
+        retry = tiny_fault_config(transient_rate=0.05)
+        degrade = tiny_fault_config(transient_rate=0.05,
                                     on_fault="degrade")
         assert trial_cache_key(retry, 7) != trial_cache_key(degrade, 7)
 
@@ -63,20 +62,20 @@ class TestFaultedTrials:
 
     def test_faulted_trial_records_the_plan(self):
         result = run_service_experiment(
-            tiny_fault_config(fault_transient_rate=0.3))
+            tiny_fault_config(transient_rate=0.3))
         assert len(result.fault_plans) == 2  # every drive draws transients
         for plan in result.fault_plans:
             assert plan["transient_rate"] == 0.3
 
     def test_transient_trial_conserves_bytes(self):
         result = run_service_experiment(
-            tiny_fault_config(fault_transient_rate=0.3))
+            tiny_fault_config(transient_rate=0.3))
         assert result.total_retries > 0
         assert result.conserves_bytes()
 
     def test_fail_stop_trial_conserves_bytes_and_degrades(self):
         result = run_service_experiment(
-            tiny_fault_config(fault_fail_stop_disk=0, fault_fail_stop_time=0.0))
+            tiny_fault_config(fail_stop_disk=0, fail_stop_time=0.0))
         assert result.conserves_bytes()
         assert result.failed_bytes + result.lost_bytes > 0
         assert result.degraded_requests > 0
@@ -84,17 +83,17 @@ class TestFaultedTrials:
 
     def test_deterministic_fault_regression(self):
         """Same seed => identical fault schedule AND identical envelope."""
-        config = tiny_fault_config(fault_transient_rate=0.3,
-                                   fault_fail_stop_disk=1,
-                                   fault_fail_stop_time=0.05)
+        config = tiny_fault_config(transient_rate=0.3,
+                                   fail_stop_disk=1,
+                                   fail_stop_time=0.05)
         first = run_service_experiment(config)
         second = run_service_experiment(config)
         assert first.fault_plans == second.fault_plans
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_different_seed_different_schedule(self):
-        config = tiny_fault_config(fault_transient_rate=0.3,
-                                   fault_bad_ranges=2)
+        config = tiny_fault_config(transient_rate=0.3,
+                                   bad_range_count=2)
         plans_a = run_service_experiment(config, seed=1).fault_plans
         plans_b = run_service_experiment(config, seed=2).fault_plans
         assert plans_a != plans_b
@@ -114,7 +113,7 @@ class TestFaultFigure:
 
     def test_figure_smoke(self):
         scenarios = (("healthy", {}),
-                     ("transient", {"fault_transient_rate": 0.3}))
+                     ("transient", {"transient_rate": 0.3}))
         summaries, text = service_faults_figure(scenarios=scenarios, **TINY)
         assert len(summaries) == 4
         assert "Fault injection" in text
@@ -122,8 +121,8 @@ class TestFaultFigure:
         assert "transient" in text
 
     def test_figure_asserts_conservation(self):
-        scenarios = (("fail-stop", {"fault_fail_stop_disk": 0,
-                                    "fault_fail_stop_time": 0.0}),)
+        scenarios = (("fail-stop", {"fail_stop_disk": 0,
+                                    "fail_stop_time": 0.0}),)
         summaries, text = service_faults_figure(scenarios=scenarios,
                                                 methods=("disk-directed",),
                                                 **TINY)

@@ -4,9 +4,9 @@ import json
 
 from repro.experiments import (
     ExperimentConfig,
-    ServiceExperimentConfig,
     run_experiment,
     run_service_experiment,
+    service_config,
     trial_cache_key,
 )
 from repro.experiments.service import (
@@ -28,7 +28,7 @@ class TestDeviceInConfigs:
     def test_device_defaults_to_disk_in_both_families(self):
         assert ExperimentConfig(method="disk-directed",
                                 pattern="rb").device == "disk"
-        assert ServiceExperimentConfig(method="disk-directed").device == "disk"
+        assert service_config(method="disk-directed").device == "disk"
 
     def test_device_participates_in_transfer_cache_key(self):
         base = dict(method="disk-directed", pattern="rb")
@@ -36,15 +36,15 @@ class TestDeviceInConfigs:
             trial_cache_key(ExperimentConfig(device="ssd", **base), 7)
 
     def test_device_participates_in_service_cache_key(self):
-        assert trial_cache_key(ServiceExperimentConfig(
+        assert trial_cache_key(service_config(
             method="disk-directed"), 7) != \
-            trial_cache_key(ServiceExperimentConfig(
+            trial_cache_key(service_config(
                 method="disk-directed", device="ssd"), 7)
 
     def test_label_stays_cosmetic(self):
-        config = ServiceExperimentConfig(method="disk-directed",
+        config = service_config(method="disk-directed",
                                          device="ssd", label="a")
-        relabeled = ServiceExperimentConfig(method="disk-directed",
+        relabeled = service_config(method="disk-directed",
                                             device="ssd", label="b")
         assert trial_cache_key(config, 7) == trial_cache_key(relabeled, 7)
 
@@ -59,7 +59,7 @@ class TestRunningOnFlash:
         assert ssd.elapsed != disk.elapsed
 
     def test_service_experiment_runs_on_ssd(self):
-        result = run_service_experiment(ServiceExperimentConfig(
+        result = run_service_experiment(service_config(
             method="disk-directed", device="ssd", **TINY))
         assert isinstance(result, ServiceResult)
         assert result.conserves_bytes()

@@ -30,9 +30,9 @@ SWEPT_OVERRIDES = {
     "service-sched": ({"concurrency": 2}, "concurrencies"),
     "service-overload": ({"method": "traditional"}, "methods"),
     "service-millions": ({"n_requests": 10}, "sweep_requests"),
-    "service-faults": ({"fault_transient_rate": 0.1}, "scenarios"),
+    "service-faults": ({"transient_rate": 0.1}, "scenarios"),
     "service-rebuild": ({"device": "ssd"}, "devices"),
-    "service-admission": ({"controller_target_p99": 1.0}, "rows"),
+    "service-admission": ({"target_p99": 1.0}, "rows"),
     "ddio-flash": ({"device": "ssd"}, "devices"),
 }
 
@@ -52,7 +52,7 @@ class TestGridOverrides:
     def test_fixed_defaults_may_be_overridden(self):
         configs = service_faults_configs(n_disks=4, arrival_rate=200.0)
         assert {config.n_disks for config in configs} == {4}
-        assert {config.arrival_rate for config in configs} == {200.0}
+        assert {config.workload.arrival_rate for config in configs} == {200.0}
 
 
 class TestRegenerateCommand:
@@ -87,7 +87,7 @@ class TestRegenerateCommand:
                                n_iops=2, n_disks=4, n_requests=4, n_files=2,
                                file_size=65536, concurrency=2,
                                arrival_rate=200.0,
-                               fault_fail_stop_time=0.01,
+                               fail_stop_time=0.01,
                                rebuild_bandwidth=16.0 * 2 ** 20,
                                json_path=str(json_path))
         written = json_path.read_bytes()

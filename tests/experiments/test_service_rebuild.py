@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.experiments import (
-    ServiceExperimentConfig,
     run_service_experiment,
+    service_config,
     trial_cache_key,
 )
 from repro.experiments.service import (
@@ -32,7 +32,7 @@ WHOLE_DRIVE = 10 ** 9
 def tiny_config(**overrides):
     base = dict(method="disk-directed", **TINY)
     base.update(overrides)
-    return ServiceExperimentConfig(**base)
+    return service_config(**base)
 
 
 class TestConfigPlumbing:
@@ -43,9 +43,9 @@ class TestConfigPlumbing:
                           dict(redundancy="parity",
                                rebuild_bandwidth=1024.0 * 1024),
                           dict(checksums=True),
-                          dict(fault_silent_ranges=1),
-                          dict(fault_silent_ranges=1,
-                               fault_silent_range_sectors=WHOLE_DRIVE)):
+                          dict(silent_range_count=1),
+                          dict(silent_range_count=1,
+                               silent_range_sectors=WHOLE_DRIVE)):
             keys.add(trial_cache_key(tiny_config(**overrides), 7))
         assert len(keys) == 6
 
@@ -56,9 +56,9 @@ class TestConfigPlumbing:
         tiny_config(redundancy="parity", n_disks=3)
 
     @pytest.mark.parametrize("field, match", [
-        ("fault_slow_disk", "slow_disk"),
-        ("fault_fail_stop_disk", "fail_stop_disk"),
-        ("fault_silent_disk", "silent_disk"),
+        ("slow_disk", "slow_disk"),
+        ("fail_stop_disk", "fail_stop_disk"),
+        ("silent_disk", "silent_disk"),
     ])
     def test_fault_drive_outside_the_machine_fails_at_construction(
             self, field, match):
@@ -68,8 +68,8 @@ class TestConfigPlumbing:
         tiny_config(**{field: 3})
 
     @pytest.mark.parametrize("field, value", [
-        ("fault_transient_rate", 2.0),
-        ("fault_slow_factor", 0.0),
+        ("transient_rate", 2.0),
+        ("slow_factor", 0.0),
         ("rebuild_bandwidth", -1.0),
     ])
     def test_invalid_fault_and_rebuild_values_fail_at_construction(
@@ -78,20 +78,19 @@ class TestConfigPlumbing:
             tiny_config(**{field: value})
 
     def test_silent_fields_build_a_fault_config(self):
-        config = tiny_config(fault_silent_ranges=2,
-                             fault_silent_range_sectors=128)
-        fault_config = config.fault_config()
-        assert fault_config is not None
-        assert fault_config.silent_range_count == 2
-        assert fault_config.silent_range_sectors == 128
+        config = tiny_config(silent_range_count=2,
+                             silent_range_sectors=128)
+        assert config.faults.enabled
+        assert config.faults.silent_range_count == 2
+        assert config.faults.silent_range_sectors == 128
 
     def test_rebuild_grid_is_parity_failstop_everywhere(self):
         configs = service_rebuild_configs()
         assert len(configs) == 4  # 2 devices x 2 methods
         for config in configs:
             assert config.redundancy == "parity"
-            assert config.fault_fail_stop_disk == 0
-            assert config.fault_fail_stop_time > 0.0
+            assert config.faults.fail_stop_disk == 0
+            assert config.faults.fail_stop_time > 0.0
             assert config.rebuild_bandwidth > 0.0
         assert {c.device for c in configs} == {"disk", "ssd"}
 
@@ -104,8 +103,8 @@ class TestSilentCorruption:
     """Satellite: undetectable today, 100%-detected with checksums."""
 
     def silent_config(self, **overrides):
-        return tiny_config(read_fraction=1.0, fault_silent_ranges=1,
-                           fault_silent_range_sectors=WHOLE_DRIVE,
+        return tiny_config(read_fraction=1.0, silent_range_count=1,
+                           silent_range_sectors=WHOLE_DRIVE,
                            **overrides)
 
     def test_without_checksums_corruption_is_invisible(self):
@@ -133,7 +132,7 @@ class TestSilentCorruption:
         # reconstructed from parity and nothing is given up.
         result = run_service_experiment(
             self.silent_config(checksums=True, redundancy="parity",
-                               fault_silent_disk=0))
+                               silent_disk=0))
         assert result.conserves_bytes()
         assert result.aggregates.get("scrub_errors", 0) > 0
         assert result.failed_bytes == 0
@@ -152,7 +151,7 @@ class TestSilentCorruption:
 
     def test_silent_disk_participates_in_cache_key(self):
         everywhere = self.silent_config()
-        one_drive = self.silent_config(fault_silent_disk=0)
+        one_drive = self.silent_config(silent_disk=0)
         assert trial_cache_key(everywhere, 7) != \
             trial_cache_key(one_drive, 7)
 
@@ -163,7 +162,7 @@ class TestParityTrials:
             result = run_service_experiment(tiny_config(
                 method=method, redundancy="parity",
                 rebuild_bandwidth=16.0 * 1024 * 1024,
-                fault_fail_stop_disk=0, fault_fail_stop_time=0.01))
+                fail_stop_disk=0, fail_stop_time=0.01))
             assert result.conserves_bytes()
             assert result.failed_bytes == 0
             assert result.lost_bytes == 0
@@ -187,7 +186,7 @@ class TestParityTrials:
 class TestRebuildFigure:
     def figure(self, **kwargs):
         return service_rebuild_figure(
-            devices=("disk",), trials=1, fault_fail_stop_time=0.01,
+            devices=("disk",), trials=1, fail_stop_time=0.01,
             rebuild_bandwidth=16.0 * 1024 * 1024, **{**TINY, **kwargs})
 
     def test_figure_reports_phases_and_zero_failures(self):

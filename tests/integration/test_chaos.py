@@ -25,7 +25,7 @@ import random
 import pytest
 
 from repro.disk.faults import FaultAbort
-from repro.experiments import ServiceExperimentConfig, run_service_experiment
+from repro.experiments import run_service_experiment, service_config
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -48,18 +48,18 @@ REDUNDANCY = ("none", "parity")
 
 def run_chaos_trial(method, redundancy, on_fault, transient, bad_ranges,
                     fail_stop_disk, fail_stop_time, silent, checksums, seed):
-    config = ServiceExperimentConfig(
+    config = service_config(
         method=method,
         redundancy=redundancy,
         rebuild_bandwidth=8.0 * 1024 * 1024,
         checksums=checksums,
         on_fault=on_fault,
-        fault_transient_rate=transient,
-        fault_bad_ranges=bad_ranges,
-        fault_fail_stop_disk=fail_stop_disk,
-        fault_fail_stop_time=fail_stop_time,
-        fault_silent_ranges=1 if silent else 0,
-        fault_silent_range_sectors=10 ** 9,
+        transient_rate=transient,
+        bad_range_count=bad_ranges,
+        fail_stop_disk=fail_stop_disk,
+        fail_stop_time=fail_stop_time,
+        silent_range_count=1 if silent else 0,
+        silent_range_sectors=10 ** 9,
         seed=seed,
         **BASE,
     )
