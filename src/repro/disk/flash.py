@@ -210,12 +210,17 @@ class FlashTranslationLayer:
         self.gc_high_water = gc_high_water
 
         self._map = {}                      # lpn -> live ppn
-        self._block_live = [dict() for _ in range(n_blocks)]  # offset -> lpn
+        # block -> {offset: lpn}, only for blocks opened and not yet erased
+        self._block_live = {}
         self._payload = {}                  # ppn -> caller data (optional)
         self._valid = [0] * n_blocks
         self._sealed_at = [0] * n_blocks    # logical timestamp at seal
         self._sealed = set()
-        self._free = deque(range(n_blocks))
+        # Free pool: blocks [_unused, n_blocks) were never opened; _erased
+        # holds reclaimed blocks in erase order.  Never-used blocks go out
+        # first, lowest id first, then erased ones oldest first.
+        self._unused = 0
+        self._erased = deque()
         self._active = None
         self._next_offset = 0
         self._tick = 0
@@ -280,7 +285,7 @@ class FlashTranslationLayer:
     @property
     def free_blocks(self):
         """Erase blocks ready for allocation."""
-        return len(self._free)
+        return self.n_blocks - self._unused + len(self._erased)
 
     @property
     def flash_pages_written(self):
@@ -315,7 +320,8 @@ class FlashTranslationLayer:
         counts must match, and free blocks must be empty.
         """
         seen = {}
-        for block, live in enumerate(self._block_live):
+        for block in range(self.n_blocks):
+            live = self._block_live.get(block, {})
             if len(live) != self._valid[block]:
                 raise AssertionError(
                     f"block {block}: valid count {self._valid[block]} != "
@@ -333,16 +339,24 @@ class FlashTranslationLayer:
                         f"to {self._map.get(lpn)}")
         if seen.keys() != self._map.keys():
             raise AssertionError("map and block tables disagree on live pages")
-        for block in self._free:
-            if self._valid[block] or self._block_live[block]:
+        free = list(range(self._unused, self.n_blocks)) + list(self._erased)
+        if len(set(free)) != len(free):
+            raise AssertionError("a block is in the free pool twice")
+        for block in free:
+            if self._valid[block] or block in self._block_live:
                 raise AssertionError(f"free block {block} is not empty")
 
     # -- allocation and collection ----------------------------------------------
     def _allocate_page(self):
         if self._active is None:
-            if not self._free:
+            if self._unused < self.n_blocks:
+                self._active = self._unused
+                self._unused += 1
+            elif self._erased:
+                self._active = self._erased.popleft()
+            else:
                 raise RuntimeError("flash device out of free blocks")
-            self._active = self._free.popleft()
+            self._block_live[self._active] = {}
             self._next_offset = 0
         ppn = self._active * self.pages_per_block + self._next_offset
         self._next_offset += 1
@@ -360,9 +374,9 @@ class FlashTranslationLayer:
 
     def _ensure_free_blocks(self):
         report = GCReport()
-        if len(self._free) > self.gc_low_water:
+        if self.free_blocks > self.gc_low_water:
             return report
-        while len(self._free) < self.gc_high_water:
+        while self.free_blocks < self.gc_high_water:
             victim = self._choose_victim()
             if victim is None:
                 break
@@ -390,7 +404,7 @@ class FlashTranslationLayer:
 
     def _collect(self, victim, report):
         self._sealed.discard(victim)
-        live = self._block_live[victim]
+        live = self._block_live.pop(victim)
         for offset in sorted(live):
             lpn = live[offset]
             old_ppn = victim * self.pages_per_block + offset
@@ -404,12 +418,11 @@ class FlashTranslationLayer:
                 self._payload[ppn] = payload
             report.relocated += 1
             self.relocated_pages += 1
-        live.clear()
         self._valid[victim] = 0
         self.erase_counts[victim] += 1
         self.erases += 1
         report.erases += 1
-        self._free.append(victim)
+        self._erased.append(victim)
 
 
 # -- the device ----------------------------------------------------------------

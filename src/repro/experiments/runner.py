@@ -109,7 +109,10 @@ from repro.patterns import make_pattern
 #:     because the model sources changed.
 #: v16: ``ServiceExperimentConfig`` holds its workload, fault and controller
 #:     configs whole, so the key's payload nests them.  No result moved.
-CACHE_SCHEMA_VERSION = 16
+#: v17: the FTL builds a block's state when it opens the block, and random
+#:     placements free their generator after their disk's last file slot.
+#:     No simulated result moved (the digest matrix pins this).
+CACHE_SCHEMA_VERSION = 17
 
 
 # -- experiment families --------------------------------------------------------

@@ -35,7 +35,7 @@ class StripedFile:
         self.n_disks = n_disks
         self.layout = layout
         self.n_blocks = math.ceil(size_bytes / block_size)
-        layout.check_capacity(math.ceil(self.n_blocks / n_disks))
+        layout.fit_file(self.n_blocks, n_disks)
 
     # -- striping ------------------------------------------------------------------
     def disk_of_block(self, file_block):

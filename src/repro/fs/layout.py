@@ -36,6 +36,11 @@ class PhysicalLayout:
                 f"file needs {blocks_needed} blocks per disk but the disk only has "
                 f"{self.blocks_per_disk}")
 
+    def fit_file(self, n_blocks, n_disks):
+        """Raise if *n_blocks* file blocks striped over *n_disks* disks do not
+        fit; disk 0 holds the most, ``ceil(n_blocks / n_disks)``."""
+        self.check_capacity(-(-n_blocks // n_disks))
+
 
 class ContiguousLayout(PhysicalLayout):
     """File blocks laid out in consecutive physical blocks, starting at an extent base."""
@@ -78,16 +83,22 @@ class _PartialPermutation:
     is asked for: placing *k* blocks costs *k* steps, and a full-disk
     permutation (what ``numpy.random.Generator.permutation`` materialises)
     is never built.
+
+    *limit* (default *n*) is how many entries will ever be asked for: once
+    that many are drawn, the generator, the batch and the displaced map are
+    dropped, and an index at or past it raises ``ValueError``.
     """
 
     #: Uniforms drawn per batch; at most one batch is buffered at a time.
     _CHUNK = 128
 
-    __slots__ = ("_rng", "_n", "_drawn", "_displaced", "_chunk", "_cursor")
+    __slots__ = ("_rng", "_n", "_limit", "_drawn", "_displaced", "_chunk",
+                 "_cursor")
 
-    def __init__(self, rng, n):
+    def __init__(self, rng, n, limit=None):
         self._rng = rng
         self._n = n
+        self._limit = n if limit is None else limit
         self._drawn = []       # permutation prefix materialised so far
         self._displaced = {}   # sparse tail: position -> value swapped into it
         self._chunk = None          # uniforms of the current batch
@@ -97,6 +108,10 @@ class _PartialPermutation:
         drawn = self._drawn
         if index < len(drawn):
             return drawn[index]
+        if index >= self._limit:
+            raise ValueError(
+                f"slot {index} is past the {self._limit} this placement "
+                f"draws")
         n = self._n
         displaced = self._displaced
         chunk = self._chunk
@@ -117,8 +132,12 @@ class _PartialPermutation:
             else:
                 drawn.append(displaced.pop(j, j))
                 displaced[j] = value_i
-        self._chunk = chunk
-        self._cursor = cursor
+        if len(drawn) == self._limit:
+            # Every slot the file uses is placed: nothing is left to draw.
+            self._rng = self._chunk = self._displaced = None
+        else:
+            self._chunk = chunk
+            self._cursor = cursor
         return drawn[index]
 
 
@@ -130,6 +149,10 @@ class RandomBlocksLayout(PhysicalLayout):
     disk's placement is independent.  The permutation is drawn lazily (partial
     Fisher–Yates): only the blocks a file actually places are materialised,
     and growing the prefix never changes already-placed blocks.
+
+    :meth:`fit_file` records the file's shape, so each disk's placement
+    knows how many slots the file uses there: once it has drawn that many it
+    frees its generator, and a slot past them raises ``ValueError``.
     """
 
     name = "random"
@@ -137,22 +160,28 @@ class RandomBlocksLayout(PhysicalLayout):
     def __init__(self, spec, block_size, seed=0):
         super().__init__(spec, block_size)
         self.seed = seed
+        self._file_shape = None     # (n_blocks, n_disks), once known
         self._placements = {}
+
+    def fit_file(self, n_blocks, n_disks):
+        super().fit_file(n_blocks, n_disks)
+        self._file_shape = (n_blocks, n_disks)
 
     def _placement_for(self, disk_index):
         placement = self._placements.get(disk_index)
         if placement is None:
             rng = np.random.default_rng(
                 np.random.SeedSequence([self.seed, disk_index]))
-            placement = _PartialPermutation(rng, self.blocks_per_disk)
+            limit = None
+            if self._file_shape is not None:
+                # File blocks disk_index, disk_index + n_disks, ...
+                n_blocks, n_disks = self._file_shape
+                limit = len(range(disk_index, n_blocks, n_disks))
+            placement = _PartialPermutation(rng, self.blocks_per_disk, limit)
             self._placements[disk_index] = placement
         return placement
 
     def lbn_of(self, disk_index, local_block_index):
-        if local_block_index >= self.blocks_per_disk:
-            raise ValueError(
-                f"block slot {local_block_index} exceeds disk capacity "
-                f"{self.blocks_per_disk}")
         placement = self._placement_for(disk_index)
         return placement.get(local_block_index) * self.sectors_per_block
 
@@ -214,6 +243,9 @@ class ParityLayout(PhysicalLayout):
 
     def check_capacity(self, blocks_needed):
         self.inner.check_capacity(blocks_needed)
+
+    def fit_file(self, n_blocks, n_disks):
+        self.inner.fit_file(n_blocks, n_disks)
 
 
 _LAYOUTS = {

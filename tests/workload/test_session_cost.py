@@ -53,11 +53,11 @@ def spawned(monkeypatch):
     return names
 
 
-def run_stream(method, spawned, retain_requests=False):
+def run_stream(method, spawned, retain_requests=False, **build):
     """Run the stream; returns (processes by name, events) of the run phase."""
     workload = one_block_stream()
     machine, implementation, files = build_service_machine(
-        workload, machine_config=MACHINE, seed=3, method=method)
+        workload, machine_config=MACHINE, seed=3, method=method, **build)
     driver = ServiceDriver(machine, implementation, files, workload,
                            retain_requests=retain_requests)
     spawned.clear()
@@ -110,6 +110,61 @@ class TestPerSessionCost:
             "_flush_session_process": 11,
         }
         assert events == 1309
+
+
+class TestFlashParityCost:
+    """The same stream on flash drives behind parity: per-request cost of
+    the SSD's queue workers, its channel fan-out and the parity wrapper."""
+
+    FLASH_PARITY = dict(device="ssd", redundancy="parity")
+
+    def test_building(self, spawned):
+        build_service_machine(one_block_stream(), machine_config=MACHINE,
+                              seed=3, **self.FLASH_PARITY)
+        # Four drives and the hot spare, each with ncq_depth (8) queue
+        # workers and one destage loop.
+        assert spawned == {"_ncq_worker": 40, "_destage_loop": 5,
+                           "_iop_server_loop_all": 1}
+
+    def test_disk_directed(self, spawned):
+        processes, events = run_stream("disk-directed", spawned,
+                                       **self.FLASH_PARITY)
+        # The parity wrapper runs each drive request as a process and
+        # flushes each written row's parity in one more.
+        assert processes == {
+            "_open_loop": 1,
+            "_iop_server": 1,
+            "_handle_request": N_SESSIONS,
+            "_cp_worker": MACHINE.n_cps * N_SESSIONS,
+            "_serve_collective": N_SESSIONS,
+            "_read_process": 29,
+            "_write_process": 11,
+            "_parity_flush": 11,
+            "child": 124,
+        }
+        assert events == 2440
+
+    def test_traditional_caching(self, spawned):
+        processes, events = run_stream("traditional", spawned,
+                                       **self.FLASH_PARITY)
+        assert processes == {
+            "_open_loop": 1,
+            "_handle_request": N_SESSIONS,
+            "_cp_worker": N_SESSIONS,
+            "_cp_issue_request": N_SESSIONS,
+            "_handle_read": 29,
+            "_handle_write": 11,
+            "_finish": 11,
+            "_fetch": 11,
+            "_allocate_for_write": 3,
+            "_writeback": 11,
+            "_flush_session_process": 11,
+            "_read_process": 11,
+            "_write_process": 11,
+            "_parity_flush": 11,
+            "child": 88,
+        }
+        assert events == 1888
 
 
 class TestBufferThreads:

@@ -10,6 +10,10 @@ i.e. several times the whole 200-session peak at 2,000 sessions.
 
 Same workload as the legacy ``benchmarks/perf_memory.py`` gate, at a scale
 that fits tier-1 (~4 s for the pair on a 2-vCPU host).
+
+What a run holds before its first session is gated here too: building the
+``degraded_array`` benchmark's machine keeps state for the flash blocks and
+file placements it touches, not for whole devices.
 """
 
 import gc
@@ -17,6 +21,7 @@ import tracemalloc
 
 from repro.machine import MachineConfig
 from repro.workload import ServiceWorkload, run_service
+from repro.workload.driver import build_service_machine
 
 #: One 8 KB record per session, deep overload, a tiny machine: per-session
 #: simulation cost is minimal, so driver-side growth is what the peak shows.
@@ -55,3 +60,39 @@ def test_streaming_peak_does_not_grow_with_sessions():
         f"peak grew from {small / 1e3:.0f} KB (200 sessions) to "
         f"{large / 1e3:.0f} KB (2,000 sessions): the streaming driver is "
         f"no longer O(1)")
+
+
+#: The ``degraded_array`` benchmark's machine and files: flash, parity,
+#: checksums and 256 Pareto-sized random-layout files over 6 drives.
+DEGRADED_ARRAY = ServiceWorkload(
+    n_requests=80, arrival="poisson", arrival_rate=22.0, concurrency=4,
+    n_files=256, file_size=64 * 1024, layout="random", read_fraction=0.5,
+    pattern_specs=("b", "c"), record_size=8192, size_distribution="pareto",
+    size_alpha=1.5, max_file_size=256 * 1024)
+
+#: Traced bytes a degraded-array build may hold (measured: 1.78 MB on
+#: x86-64, Python 3.11; 8.55 MB when every FTL built state for all its
+#: erase blocks and every placement kept its generator).
+BUILD_CEILING_MB = 3.5
+
+
+def build_degraded_array():
+    return build_service_machine(
+        DEGRADED_ARRAY, machine_config=MachineConfig(
+            n_cps=4, n_iops=2, n_disks=6),
+        seed=7, device="ssd", redundancy="parity", checksums=True)
+
+
+def test_a_degraded_array_build_holds_what_its_files_touch():
+    build_degraded_array()  # warm-up: imports and first-use caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build_degraded_array()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(built[2]) == DEGRADED_ARRAY.n_files
+    assert held <= BUILD_CEILING_MB * 2 ** 20, (
+        f"the build holds {held / 2 ** 20:.2f} MB")
