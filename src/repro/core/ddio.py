@@ -126,20 +126,33 @@ class DiskDirectedFS(CollectiveFileSystem):
     def _iop_server_loop_all(self):
         """Start a permanent server loop on every IOP (lazily, at construction)."""
         for iop in self.machine.iops:
-            self.env.process(self._iop_server(iop))
+            self.env.process(
+                self._iop_server(iop.mailbox.store(self.request_tag)))
         return
         yield  # pragma: no cover - keeps this a generator for env.process symmetry
 
-    def _iop_server(self, iop):
+    @staticmethod
+    def _iop_server(requests):
+        """One IOP's server: accept each collective request from *requests*.
+
+        Parked, the server holds only its request store: the file system
+        comes with each message (``session.fs``), so an idle server is no
+        reference path back to the machine.
+        """
         while True:
-            message = yield iop.mailbox.receive(self.request_tag)
-            session = message.payload
-            session.count("iop_messages")
-            yield from self._charge_cpu(
-                iop, self.costs.message_overhead + self.costs.collective_request_overhead)
-            # Spawn without waiting: the server immediately listens for the
-            # next collective, multiplexing several in-flight sessions.
-            self.env.process(self._serve_collective(iop, message))
+            message = yield requests.get()
+            yield from message.payload.fs._accept_collective(message)
+            del message
+
+    def _accept_collective(self, message):
+        iop = self.machine.node(message.dst)
+        session = message.payload
+        session.count("iop_messages")
+        yield from self._charge_cpu(
+            iop, self.costs.message_overhead + self.costs.collective_request_overhead)
+        # Spawn without waiting: the server immediately listens for the
+        # next collective, multiplexing several in-flight sessions.
+        self.env.process(self._serve_collective(iop, message))
 
     def _serve_collective(self, iop, message):
         session = message.payload

@@ -101,7 +101,8 @@ class TraditionalCachingFS(CollectiveFileSystem):
                 checksums=checksums,
             )
             self.caches.append(cache)
-            self.env.process(self._iop_dispatcher(iop, cache))
+            self.env.process(
+                self._iop_dispatcher(iop.mailbox.store(self.request_tag)))
 
     # -- transfer orchestration ---------------------------------------------------------
     def _start_transfer(self, session):
@@ -269,24 +270,36 @@ class TraditionalCachingFS(CollectiveFileSystem):
         yield request.reply_event
 
     # -- I/O-processor side -----------------------------------------------------------------
-    def _iop_dispatcher(self, iop, cache):
-        """Receive requests and hand each one to a fresh handler thread."""
-        costs = self.costs
+    @staticmethod
+    def _iop_dispatcher(requests):
+        """Receive requests from *requests* and dispatch each one.
+
+        Parked, the dispatcher holds only its request store: the file
+        system comes with each request (``request.session.fs``), so an idle
+        dispatcher is no reference path back to the machine.
+        """
         while True:
-            message = yield iop.mailbox.receive(self.request_tag)
-            request = message.payload
-            request.session.count("iop_messages", request.n_requests)
-            cpu_time = request.n_requests \
-                * (costs.message_overhead + costs.thread_dispatch_overhead)
-            if cpu_time > 0:
-                charge = iop.cpu.acquire_event(cpu_time)
-                if charge is None:
-                    yield from iop.cpu.acquire(cpu_time)
-                else:
-                    yield charge
-            handler = self._handle_read if request.kind == "read" \
-                else self._handle_write
-            self.env.process(handler(iop, cache, request))
+            message = yield requests.get()
+            yield from message.payload.session.fs._dispatch(message)
+            del message
+
+    def _dispatch(self, message):
+        """Charge the receive and hand the request to a fresh handler thread."""
+        costs = self.costs
+        iop = self.machine.node(message.dst)
+        request = message.payload
+        request.session.count("iop_messages", request.n_requests)
+        cpu_time = request.n_requests \
+            * (costs.message_overhead + costs.thread_dispatch_overhead)
+        if cpu_time > 0:
+            charge = iop.cpu.acquire_event(cpu_time)
+            if charge is None:
+                yield from iop.cpu.acquire(cpu_time)
+            else:
+                yield charge
+        handler = self._handle_read if request.kind == "read" \
+            else self._handle_write
+        self.env.process(handler(iop, self.caches[iop.iop_index], request))
 
     def _handle_read(self, iop, cache, request):
         costs = self.costs

@@ -156,12 +156,19 @@ class BlockDevice:
     :meth:`submit`), receive an event, and yield it; :meth:`flush` waits
     for write-behind to drain.  A subclass supplies the media model: a
     ``geometry`` with ``total_sectors``, the worker process(es) that serve
-    :attr:`_queue` (started by :meth:`_start_workers`), a ``_destage_loop``
+    :attr:`_queue` (started by :meth:`_start_workers`), a ``_destage_round``
     for write-behind, and ``head_lbn_estimate`` for scheduling policies.
     The completion plumbing (:meth:`_complete`, :meth:`_fail_request`,
     :meth:`_signal_media`, flush release) is written once here, so every
     device reports errors, session counters and media completion the same
     way.
+
+    Worker and destage processes are *parked servers*: each round serves
+    until its queue is empty and returns the event that wakes the next
+    round, and the waker (:meth:`_kick`, :meth:`_kick_destage`) succeeds
+    that event with the device itself.  A parked process therefore holds
+    only its wake event, never the device, so an idle device is no
+    reference cycle and a dropped machine is freed by reference counting.
     """
 
     #: container type of the submission queue (a list lets a scheduler
@@ -196,7 +203,7 @@ class BlockDevice:
         self._destage_work = None
         self._start_workers()
         if spec.write_cache_enabled:
-            self._destage_process = env.process(self._destage_loop())
+            self._destage_process = env.process(self._destage_loop(self))
         else:
             self._destage_process = None
 
@@ -265,15 +272,28 @@ class BlockDevice:
         """Drop per-session accounting once the session's result is final."""
         self.session_stats.pop(session_id, None)
 
-    # -- wake-ups ---------------------------------------------------------------
+    # -- parked servers ---------------------------------------------------------
+    @staticmethod
+    def _destage_loop(device):
+        """The destage process: rounds of ``_destage_round``, parked between.
+
+        *device* is held only until the first round; after that the process
+        frame holds just the wake event it is parked on, whose value hands
+        the device back (see :meth:`_kick_destage`).
+        """
+        wake = yield from device._destage_round()
+        del device
+        while True:
+            wake = yield from (yield wake)._destage_round()
+
     def _kick(self):
         if self._work is not None and not self._work.triggered:
-            self._work.succeed()
+            self._work.succeed(self)
             self._work = None
 
     def _kick_destage(self):
         if self._destage_work is not None and not self._destage_work.triggered:
-            self._destage_work.succeed()
+            self._destage_work.succeed(self)
             self._destage_work = None
 
     # -- completion plumbing ----------------------------------------------------
@@ -374,13 +394,19 @@ class Disk(BlockDevice):
 
     # -- service loop ---------------------------------------------------------------
     def _start_workers(self):
-        self._serve_process = self.env.process(self._serve_loop())
+        self._serve_process = self.env.process(self._serve_loop(self))
 
-    def _serve_loop(self):
+    @staticmethod
+    def _serve_loop(disk):
+        """The serve process: rounds of :meth:`_serve_round`, parked between."""
+        wake = yield from disk._serve_round()
+        del disk
         while True:
-            while not self._queue:
-                self._work = Event(self.env)
-                yield self._work
+            wake = yield from (yield wake)._serve_round()
+
+    def _serve_round(self):
+        """Serve queued requests until none is left; returns the wake event."""
+        while self._queue:
             index = self.scheduler.select(self._queue, self._current_lbn_estimate())
             request = self._queue.pop(index)
             wait = self.env.now - request.submit_time
@@ -396,6 +422,8 @@ class Disk(BlockDevice):
                 session = self.session(request.session_id)
                 session.queue_wait_time += wait
                 session.service_time += busy
+        self._work = work = Event(self.env)
+        return work
 
     def _current_lbn_estimate(self):
         # Approximate the head position by the first sector of the current cylinder;
@@ -591,12 +619,9 @@ class Disk(BlockDevice):
             self._signal_media(request)
             self._maybe_release_flush_waiters()
 
-    def _destage_loop(self):
-        env = self.env
-        while True:
-            while not self._write_buffer:
-                self._destage_work = Event(env)
-                yield self._destage_work
+    def _destage_round(self):
+        """Destage buffered writes until none is left; returns the wake event."""
+        while self._write_buffer:
             request = self._write_buffer.popleft()
             if self._buffer_waiters:
                 self._buffer_waiters.popleft().succeed()
@@ -604,6 +629,8 @@ class Disk(BlockDevice):
             self._writes_outstanding -= 1
             self._signal_media(request)
             self._maybe_release_flush_waiters()
+        self._destage_work = work = Event(self.env)
+        return work
 
     def _write_to_media(self, request):
         if self._lost_at_destage(request):

@@ -496,15 +496,25 @@ class SSD(BlockDevice):
 
     # -- the NCQ worker pool -----------------------------------------------------
     def _start_workers(self):
-        self._workers = [self.env.process(self._ncq_worker())
+        self._workers = [self.env.process(self._ncq_worker(self))
                          for _ in range(self.spec.ncq_depth)]
 
-    def _ncq_worker(self):
+    @staticmethod
+    def _ncq_worker(ssd):
+        """One NCQ worker: rounds of :meth:`_ncq_round`, parked between.
+
+        The workers park on one shared wake event; see
+        :class:`~repro.disk.drive.BlockDevice` for why a parked worker
+        holds only that event.
+        """
+        wake = yield from ssd._ncq_round()
+        del ssd
         while True:
-            while not self._queue:
-                if self._work is None or self._work.triggered:
-                    self._work = Event(self.env)
-                yield self._work
+            wake = yield from (yield wake)._ncq_round()
+
+    def _ncq_round(self):
+        """Serve queued requests until none is left; returns the wake event."""
+        while self._queue:
             request = self._queue.popleft()
             wait = self.env.now - request.submit_time
             self.stats.queue_wait_time += wait
@@ -521,6 +531,10 @@ class SSD(BlockDevice):
                 session = self.session(request.session_id)
                 session.queue_wait_time += wait
                 session.service_time += busy
+        work = self._work
+        if work is None or work.triggered:
+            work = self._work = Event(self.env)
+        return work
 
     # -- channel holds -----------------------------------------------------------
     def _hold_channel(self, channel, hold):
@@ -679,12 +693,9 @@ class SSD(BlockDevice):
             self._signal_media(request)
             self._maybe_release_flush_waiters()
 
-    def _destage_loop(self):
-        env = self.env
-        while True:
-            while not self._write_buffer:
-                self._destage_work = Event(env)
-                yield self._destage_work
+    def _destage_round(self):
+        """Destage cached writes until none is left; returns the wake event."""
+        while self._write_buffer:
             request = self._write_buffer.popleft()
             yield from self._program_pages(request)
             self._release_cached(request)
@@ -696,6 +707,8 @@ class SSD(BlockDevice):
                 waiter.succeed()
             self._signal_media(request)
             self._maybe_release_flush_waiters()
+        self._destage_work = work = Event(self.env)
+        return work
 
     def _release_cached(self, request):
         pages = self.geometry.page_span(request.lbn, request.n_sectors)

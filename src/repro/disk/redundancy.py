@@ -98,12 +98,20 @@ class ParityArray:
     background parity-update processes and the redundancy counters.  The
     per-drive :class:`ParityDisk` handles delegate all cross-drive work
     here.
+
+    The array takes what it needs from *machine* at construction and keeps
+    no reference to the machine or its IOP nodes: their handle lists hold
+    the :class:`ParityDisk` wrappers, which hold the array.
     """
 
     def __init__(self, machine, rebuild_bandwidth=0.0):
         check_parity_width(machine.config.n_disks)
-        self.machine = machine
         self.env = machine.env
+        #: per-drive fault plans (the machine's list; None entries: healthy)
+        self.fault_plans = machine.fault_plans
+        #: CPU of the IOP owning each drive, where XOR time is charged
+        self._xor_cpus = [machine.iop_for_disk(disk_index).cpu
+                          for disk_index in range(machine.config.n_disks)]
         self.n_disks = machine.config.n_disks
         self.sectors_per_block = machine.config.sectors_per_block
         self.block_bytes = machine.config.block_size
@@ -149,7 +157,7 @@ class ParityArray:
 
     def failed(self, disk_index, now):
         """True when drive *disk_index* has fail-stopped by *now*."""
-        plan = self.machine.fault_plans[disk_index]
+        plan = self.fault_plans[disk_index]
         return plan is not None and plan.failed_at(now)
 
     def note_used_row(self, disk_index, row):
@@ -175,8 +183,9 @@ class ParityArray:
     # -- shared cost helpers ----------------------------------------------------
     def charge_xor(self, disk_index, n_bytes):
         """Process fragment: XOR time on the IOP owning *disk_index*."""
-        iop = self.machine.iop_for_disk(disk_index)
-        yield from iop.compute(n_bytes / self.memory_copy_bandwidth)
+        duration = n_bytes / self.memory_copy_bandwidth
+        if duration > 0:
+            yield from self._xor_cpus[disk_index].acquire(duration)
 
     def _survivors(self, disk_index, now):
         """All live drives other than *disk_index*, or None if another died."""
@@ -365,7 +374,7 @@ class ParityArray:
         """
         if self.spare is None:
             return None
-        for disk_index, plan in enumerate(self.machine.fault_plans):
+        for disk_index, plan in enumerate(self.fault_plans):
             if plan is not None and plan.fail_stop_time is not None:
                 self.rebuild = RebuildProcess(
                     self, disk_index, plan.fail_stop_time,
@@ -558,20 +567,22 @@ class RebuildProcess:
     bandwidth cap throttles how fast reconstructed bytes may land, keeping
     rebuild from starving foreground service.  ``done`` fires when every
     known row is rebuilt.
+
+    The array holds its rebuild (``array.rebuild``); the rebuild reaches the
+    array only through its running process, so the pair is no reference
+    cycle once the rebuild is done.
     """
 
     def __init__(self, array, disk_index, start_time, bandwidth):
-        self.array = array
         self.disk_index = disk_index
         self.start_time = start_time
         self.bandwidth = bandwidth
         self.rows_done = 0
         self.finished_at = None
         self.done = Event(array.env)
-        array.env.process(self._run())
+        array.env.process(self._run(array))
 
-    def _run(self):
-        array = self.array
+    def _run(self, array):
         env = array.env
         if env.now < self.start_time:
             yield env.event_at(self.start_time)

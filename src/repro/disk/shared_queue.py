@@ -88,7 +88,7 @@ class SharedDiskQueue:
         #: actually happens; dropped by :meth:`release_session`.
         self.session_waits = {}
         for _ in range(workers):
-            env.process(self._worker())
+            env.process(self._worker(self))
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -187,15 +187,25 @@ class SharedDiskQueue:
     # -- the worker pool -------------------------------------------------------
     def _kick(self):
         if self._work is not None and not self._work.triggered:
-            self._work.succeed()
+            self._work.succeed(self)
             self._work = None
 
-    def _worker(self):
+    @staticmethod
+    def _worker(queue):
+        """One pool worker: rounds of :meth:`_work_round`, parked between.
+
+        The workers park on one shared wake event, which :meth:`_kick`
+        succeeds with the queue; a parked worker holds only that event, so
+        an idle queue (and the drive behind it) is no reference cycle.
+        """
+        wake = yield from queue._work_round()
+        del queue
         while True:
-            while not self._pending:
-                if self._work is None or self._work.triggered:
-                    self._work = Event(self.env)
-                yield self._work
+            wake = yield from (yield wake)._work_round()
+
+    def _work_round(self):
+        """Run pending jobs until none is left; returns the wake event."""
+        while self._pending:
             index = self.policy.select(self._pending, self.disk.head_lbn_estimate)
             job = self._pending.pop(index)
             if job.session_id is not None:
@@ -215,3 +225,7 @@ class SharedDiskQueue:
                             waiter.succeed()
             if not job.done.triggered:
                 job.done.succeed(value)
+        work = self._work
+        if work is None or work.triggered:
+            work = self._work = Event(self.env)
+        return work

@@ -112,7 +112,11 @@ from repro.patterns import make_pattern
 #: v17: the FTL builds a block's state when it opens the block, and random
 #:     placements free their generator after their disk's last file slot.
 #:     No simulated result moved (the digest matrix pins this).
-CACHE_SCHEMA_VERSION = 17
+#: v18: long-lived server processes park holding only their wake event, the
+#:     parity array keeps no reference to the machine, and a service run
+#:     closes its environment when it ends.  No simulated result moved (the
+#:     digest matrix pins this).
+CACHE_SCHEMA_VERSION = 18
 
 
 # -- experiment families --------------------------------------------------------

@@ -85,18 +85,23 @@ class Mailbox:
         self.name = name
         self._queues = {}
 
-    def _queue(self, tag):
+    def store(self, tag="default"):
+        """The :class:`~repro.sim.stores.Store` behind *tag* (created on first use).
+
+        A server that waits on the store itself, rather than through
+        :meth:`receive`, holds no reference to this mailbox or its node.
+        """
         if tag not in self._queues:
             self._queues[tag] = Store(self.env, name=f"{self.name}:{tag}")
         return self._queues[tag]
 
     def deliver(self, message, tag="default"):
         """Deposit *message* into the sub-queue for *tag*."""
-        return self._queue(tag).put(message)
+        return self.store(tag).put(message)
 
     def receive(self, tag="default"):
         """Event yielding the next message delivered under *tag*."""
-        return self._queue(tag).get()
+        return self.store(tag).get()
 
     def pending(self, tag="default"):
         """Number of undelivered messages waiting under *tag*."""

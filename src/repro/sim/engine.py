@@ -192,6 +192,33 @@ class Environment:
             # surface the original exception rather than losing it.
             raise event._value
 
+    def close(self):
+        """End the simulation for good: close every live process, drop the calendar.
+
+        Each live process is detached from the event it waits on and its
+        generator closed (its ``finally`` blocks run); a process started by
+        one of those blocks is closed in turn.  Then both calendar tiers
+        are emptied, and every event they held is marked processed without
+        running its callbacks.  Afterwards no process waits on anything and
+        the calendar is empty, so a finished model whose objects park only
+        on events is freed by reference counting alone.  Call it outside
+        :meth:`run`; an environment with nothing live or pending is left
+        unchanged.
+        """
+        if self._active_process is not None:
+            raise SimulationError("close() called from inside a process")
+        while True:
+            live = [process for process in self._processes
+                    if process.is_alive]
+            if not live:
+                break
+            for process in live:
+                process._close()
+        for tier in (self._ring, self._heap):
+            for _when, _key, event in tier:
+                event.callbacks = None
+            tier.clear()
+
     def _deadlock(self, reason):
         """Build a :class:`DeadlockError` naming the still-alive processes.
 

@@ -202,6 +202,21 @@ class _Condition(Event):
         if self._child_succeeded():
             self._finish()
 
+    def _detach(self):
+        """Stop listening to the children, for a condition nobody will await.
+
+        A pending child holds the condition through its callback and the
+        condition holds the child: :meth:`Process._close` breaks that cycle
+        (and the same one in any nested condition) when it closes a waiter.
+        """
+        on_child = self._on_child
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None and on_child in callbacks:
+                callbacks.remove(on_child)
+                if isinstance(event, _Condition):
+                    event._detach()
+
     def _finish(self):
         result = ConditionValue()
         for event in self._events:

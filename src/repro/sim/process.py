@@ -13,7 +13,7 @@ through :meth:`Process._step`.  The two must stay behaviourally in sync.
 """
 
 from repro.sim.errors import Interrupt, SimulationError, StopProcess
-from repro.sim.events import _PENDING, Event
+from repro.sim.events import _PENDING, Event, _Condition
 
 
 class _Interruption(Event):
@@ -80,6 +80,28 @@ class Process(Event):
                 pass
         self._waiting_on = None
         self._step(throw=Interrupt(interruption._interrupt_cause))
+
+    def _close(self):
+        """Detach from the awaited event and close the generator for good.
+
+        The generator's ``finally`` blocks run (``GeneratorExit`` at the
+        parked ``yield``); the process then reads as finished without ever
+        firing, so nothing waiting on it is resumed.  Used by
+        :meth:`~repro.sim.engine.Environment.close`.
+        """
+        target = self._waiting_on
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+            if isinstance(target, _Condition):
+                target._detach()
+        self._waiting_on = None
+        self._generator.close()
+        self._ok = True
+        self._value = None
+        self.callbacks = None
 
     def _resume(self, event):
         waiting_on = self._waiting_on

@@ -70,6 +70,7 @@ class TestRegenerateCommand:
         ("docs/data/service_admission.json", {}),
         ("docs/data/service_flash.json", {}),
         ("docs/data/service_millions.json", {}),
+        ("docs/data/service_faults.json", {}),
         ("docs/data/service_faults_ssd.json", {"device": "ssd"}),
     ])
     def test_committed_artifacts_record_their_command(self, path, call):

@@ -33,12 +33,110 @@ from pathlib import Path
 import pytest
 
 from repro import FileSystem, Machine, MachineConfig, make_filesystem, make_pattern
+from repro.disk.faults import FaultConfig
+from repro.workload import ServiceDriver, ServiceWorkload
+from repro.workload.admission import ControllerConfig
+from repro.workload.driver import build_service_machine
 
 KILOBYTE = 1024
+MEGABYTE = 1024 * KILOBYTE
 
 PIN_PATH = (Path(__file__).resolve().parents[1] / "data"
             / "reference_path_digests.json")
 PIN_SECTION = "back_to_back_transfers"
+
+FAULTS = {
+    "healthy": None,
+    "fail-slow": FaultConfig(slow_disk=0, slow_factor=4.0, slow_start=0.0,
+                             slow_duration=1e9),
+    "fail-stop": FaultConfig(fail_stop_disk=1, fail_stop_time=0.05),
+}
+
+#: (redundancy, faults, controller): a fail-stop is only survivable, and
+#: its rebuild only runs, behind parity
+VARIANTS = [
+    ("none", "healthy", False),
+    ("parity", "fail-slow", True),
+    ("parity", "fail-stop", False),
+]
+
+SERVICE_CELLS = [
+    (method, device, scheduler, *variant)
+    for method in ("disk-directed", "traditional")
+    for device in ("disk", "ssd")
+    for scheduler in ("fcfs", "shared-cscan")
+    for variant in VARIANTS
+]
+
+
+def service_workload():
+    return ServiceWorkload(
+        n_requests=12, arrival="poisson", arrival_rate=40.0, concurrency=3,
+        n_files=4, file_size=64 * KILOBYTE, layout="random",
+        read_fraction=0.6, pattern_specs=("b", "c"), record_size=8192,
+        seed=2)
+
+
+def weakrefs(machine, *others):
+    """Weak references to *machine*, every device it has, and *others*."""
+    objects = [machine, *machine.disks, *machine.spare_disks,
+               *(queue for queue in machine.shared_queues
+                 if queue is not None), *others]
+    if machine.parity is not None:
+        objects.append(machine.parity)
+    return [weakref.ref(obj) for obj in objects]
+
+
+@pytest.fixture
+def no_collector():
+    """The collector off (after clearing what earlier tests left behind)."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize(
+    "method,device,scheduler,redundancy,faults,controller", SERVICE_CELLS)
+def test_service_run_leaves_no_garbage(no_collector, method, device,
+                                       scheduler, redundancy, faults,
+                                       controller):
+    workload = service_workload()
+    machine, implementation, files = build_service_machine(
+        workload, machine_config=MachineConfig(n_cps=2, n_iops=2, n_disks=4),
+        seed=2, method=method, device=device, disk_scheduler=scheduler,
+        redundancy=redundancy, fault_config=FAULTS[faults])
+    driver = ServiceDriver(
+        machine, implementation, files, workload,
+        controller=ControllerConfig(target_p99=0.5, interval=0.05)
+        if controller else None)
+    result = driver.run()
+    assert result.conserves_bytes()
+    if faults == "fail-stop":
+        assert result.aggregates["rebuilt_rows"] > 0
+    refs = weakrefs(machine, implementation, driver)
+    del machine, implementation, files, driver
+    assert [ref() for ref in refs if ref() is not None] == []
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("method", ["disk-directed", "traditional"])
+@pytest.mark.parametrize("layout", ["random", "contiguous"])
+@pytest.mark.parametrize("pattern_name", ["rb", "wb"])
+def test_transfer_frees_the_machine_by_reference_counting(
+        no_collector, method, layout, pattern_name):
+    """A paper_grid-shaped cell: the Table 1 machine, one collective."""
+    config = MachineConfig()
+    machine = Machine(config, seed=3)
+    striped = FileSystem(config, layout_seed=3).create_file(
+        "cell", MEGABYTE, layout=layout)
+    implementation = make_filesystem(method, machine, striped)
+    implementation.transfer(
+        make_pattern(pattern_name, MEGABYTE, 8192, config.n_cps))
+    refs = weakrefs(machine, implementation)
+    del machine, implementation
+    assert [ref() for ref in refs if ref() is not None] == []
+
 
 #: method x device x scheduler: between them they start every kind of
 #: long-lived server the machine has

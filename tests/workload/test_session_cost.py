@@ -24,7 +24,6 @@ from repro.patterns import PATTERN_NAMES, make_pattern
 from repro.patterns.pattern import _CHUNK_BATCH_RECORDS
 from repro.sim.process import Process
 from repro.workload import ServiceDriver, ServiceWorkload
-from repro.workload import driver as driver_module
 from repro.workload.driver import build_service_machine
 
 BLOCK = 8192
@@ -244,48 +243,6 @@ class TestPatternMemo:
         _file, pattern = driver.plan_request(3, 0)
         assert pattern is driver._patterns[
             (pattern.name, pattern.file_size, pattern.record_size)]
-
-
-def run_one_block_stream():
-    workload = one_block_stream()
-    machine, implementation, files = build_service_machine(
-        workload, machine_config=MACHINE, seed=3)
-    ServiceDriver(machine, implementation, files, workload).run()
-    return machine
-
-
-class TestFreeFinishedMachine:
-    @pytest.fixture
-    def collections(self, monkeypatch):
-        collect = driver_module.gc.collect
-        calls = []
-        monkeypatch.setattr(driver_module, "_last_run", None)
-        monkeypatch.setattr(driver_module.gc, "collect",
-                            lambda: calls.append(collect()))
-        return calls
-
-    def test_building_after_a_long_run_frees_its_machine(
-            self, monkeypatch, collections):
-        monkeypatch.setattr(driver_module, "FREE_MACHINE_AFTER_RUN_S", 0.0)
-        machine = run_one_block_stream()
-        assert collections == []        # no run before it
-        build_service_machine(one_block_stream(), machine_config=MACHINE)
-        assert len(collections) == 1    # *machine* was still in memory
-        build_service_machine(one_block_stream(), machine_config=MACHINE)
-        assert len(collections) == 1    # one collection per finished run
-        assert machine is not None
-
-    def test_short_runs_and_freed_machines_cost_nothing(
-            self, monkeypatch, collections):
-        run_one_block_stream()          # far below one host second
-        build_service_machine(one_block_stream(), machine_config=MACHINE)
-        assert collections == []
-        monkeypatch.setattr(driver_module, "FREE_MACHINE_AFTER_RUN_S", 0.0)
-        run_one_block_stream()
-        driver_module.gc.collect()      # the caller freed the machine
-        assert driver_module._last_run[0]() is None
-        build_service_machine(one_block_stream(), machine_config=MACHINE)
-        assert len(collections) == 1    # only the caller's own collection
 
 
 @pytest.fixture
